@@ -40,6 +40,7 @@
 #include "serve/serving_engine.h"
 #include "sql/engine.h"
 #include "storage/catalog.h"
+#include "util/stats.h"
 #include "workload/macro.h"
 
 namespace xprs {
@@ -77,26 +78,6 @@ Digest DigestRows(const SqlResult& result) {
     d.checksum += Fnv1a(row.ToString());
   }
   return d;
-}
-
-// --- latency stats ---------------------------------------------------------
-
-struct Percentiles {
-  double p50 = 0, p95 = 0, p99 = 0;
-};
-
-Percentiles ExactPercentiles(std::vector<double> latencies) {
-  Percentiles p;
-  if (latencies.empty()) return p;
-  std::sort(latencies.begin(), latencies.end());
-  auto at = [&](double q) {
-    size_t i = static_cast<size_t>(q * (latencies.size() - 1));
-    return latencies[i];
-  };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
-  return p;
 }
 
 struct ModeResult {
@@ -212,7 +193,6 @@ ModeResult RunMode(const std::string& name, const Config& config,
                    const QueryRunner& run) {
   ModeResult result;
   result.name = name;
-  std::vector<double> latencies_ms;
   std::map<std::string, double> sum_ms;
   const auto t0 = Clock::now();
   for (int rep = 0; rep < config.reps; ++rep) {
@@ -228,7 +208,7 @@ ModeResult RunMode(const std::string& name, const Config& config,
         continue;
       }
       if (!(DigestRows(*r) == oracle.at(q.name))) ++result.diffs;
-      latencies_ms.push_back(ms);
+      result.latency_ms.Add(ms);
       sum_ms[q.name] += ms;
       auto [it, fresh] = result.per_query_best_ms.emplace(q.name, ms);
       if (!fresh && ms < it->second) it->second = ms;
@@ -239,7 +219,6 @@ ModeResult RunMode(const std::string& name, const Config& config,
                               ? static_cast<double>(result.executed) /
                                     result.total_seconds
                               : 0.0;
-  result.latency_ms = ExactPercentiles(latencies_ms);
   for (const auto& [q, total] : sum_ms)
     result.per_query_mean_ms[q] = total / config.reps;
   return result;
@@ -265,7 +244,6 @@ ModeResult RunServedMode(const Config& config, Catalog* catalog,
   ModeResult result;
   result.name = "served";
   std::mutex mutex;
-  std::vector<double> latencies_ms;
   std::map<std::string, double> sum_ms;
   std::map<std::string, uint64_t> runs;
   std::atomic<uint64_t> executed{0};
@@ -290,7 +268,7 @@ ModeResult RunServedMode(const Config& config, Catalog* catalog,
             continue;
           }
           std::lock_guard<std::mutex> lock(mutex);
-          latencies_ms.push_back(ms);
+          result.latency_ms.Add(ms);
           sum_ms[q.name] += ms;
           ++runs[q.name];
           auto [it, fresh] = result.per_query_best_ms.emplace(q.name, ms);
@@ -309,7 +287,6 @@ ModeResult RunServedMode(const Config& config, Catalog* catalog,
                               ? static_cast<double>(result.executed) /
                                     result.total_seconds
                               : 0.0;
-  result.latency_ms = ExactPercentiles(latencies_ms);
   for (const auto& [q, total] : sum_ms)
     result.per_query_mean_ms[q] = total / static_cast<double>(runs[q]);
   *slow_entries = engine.slow_query_log().size();
@@ -427,10 +404,12 @@ int Run(int argc, char** argv) {
                             return engine.Execute(sql, ctx);
                           }));
   modes.push_back(RunMode("parallel", config, mix, oracle,
-                          [&](const std::string& sql) {
-                            MasterOptions master;
-                            master.max_slots = 4;
-                            return engine.ExecuteParallel(sql, master);
+                          [&](const std::string& sql) -> StatusOr<SqlResult> {
+                            RunOptions run;
+                            run.master.emplace().max_slots = 4;
+                            XPRS_ASSIGN_OR_RETURN(PreparedStatement p,
+                                                  engine.Prepare(sql));
+                            return engine.Run(p, run);
                           }));
   uint64_t slow_entries = 0;
   int peak_running = 0;
@@ -455,8 +434,8 @@ int Run(int argc, char** argv) {
         "%-10s %5llu queries in %6.3fs  %7.1f q/s  p50=%.2fms p95=%.2fms "
         "p99=%.2fms  speedup=%.2fx  diffs=%llu\n",
         m.name.c_str(), static_cast<unsigned long long>(m.executed),
-        m.total_seconds, m.throughput_qps, m.latency_ms.p50, m.latency_ms.p95,
-        m.latency_ms.p99, m.speedup_vs_serial,
+        m.total_seconds, m.throughput_qps, m.latency_ms.Get(50),
+        m.latency_ms.Get(95), m.latency_ms.Get(99), m.speedup_vs_serial,
         static_cast<unsigned long long>(m.diffs));
   }
 
@@ -530,8 +509,9 @@ int Run(int argc, char** argv) {
                    i == 0 ? "" : ",", m.name.c_str(),
                    static_cast<unsigned long long>(m.executed),
                    static_cast<unsigned long long>(m.diffs), m.total_seconds,
-                   m.throughput_qps, m.latency_ms.p50, m.latency_ms.p95,
-                   m.latency_ms.p99, m.speedup_vs_serial);
+                   m.throughput_qps, m.latency_ms.Get(50),
+                   m.latency_ms.Get(95), m.latency_ms.Get(99),
+                   m.speedup_vs_serial);
       bool first_q = true;
       for (const auto& [q, ms] : m.per_query_mean_ms) {
         std::fprintf(f, "%s\"%s\":%.4f", first_q ? "" : ",", q.c_str(), ms);

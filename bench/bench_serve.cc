@@ -37,6 +37,7 @@
 #include "serve/serving_engine.h"
 #include "sql/engine.h"
 #include "storage/catalog.h"
+#include "util/stats.h"
 
 namespace xprs {
 namespace {
@@ -53,24 +54,6 @@ const std::vector<std::string>& QueryMix() {
       "SELECT sum(a) FROM orders WHERE a BETWEEN 5 AND 60",
   };
   return mix;
-}
-
-struct Percentiles {
-  double p50 = 0, p95 = 0, p99 = 0;
-};
-
-Percentiles ExactPercentiles(std::vector<double>* latencies) {
-  Percentiles p;
-  if (latencies->empty()) return p;
-  std::sort(latencies->begin(), latencies->end());
-  auto at = [&](double q) {
-    size_t i = static_cast<size_t>(q * (latencies->size() - 1));
-    return (*latencies)[i];
-  };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
-  return p;
 }
 
 struct LoopResult {
@@ -105,7 +88,6 @@ LoopResult RunClosedLoop(Catalog* catalog, const CostModel* model,
   LoopResult result;
   result.clients = clients;
   std::mutex mutex;
-  std::vector<double> latencies_ms;
   std::atomic<uint64_t> failed{0};
 
   const auto start = Clock::now();
@@ -131,17 +113,16 @@ LoopResult RunClosedLoop(Catalog* catalog, const CostModel* model,
       }
       engine->CloseSession(session);
       std::lock_guard<std::mutex> lock(mutex);
-      latencies_ms.insert(latencies_ms.end(), local.begin(), local.end());
+      for (double ms : local) result.latency_ms.Add(ms);
     });
   }
   for (std::thread& t : threads) t.join();
   const double secs = std::chrono::duration<double>(Clock::now() - start)
                           .count();
 
-  result.completed = latencies_ms.size();
+  result.completed = result.latency_ms.count();
   result.failed = failed.load();
   result.throughput_qps = secs > 0 ? result.completed / secs : 0;
-  result.latency_ms = ExactPercentiles(&latencies_ms);
   *peak_running = std::max(*peak_running, engine->scheduler().peak_running());
   return result;
 }
@@ -157,7 +138,6 @@ LoopResult RunOpenLoop(Catalog* catalog, const CostModel* model, double qps,
 
   auto session = engine->OpenSession();
   std::mutex mutex;
-  std::vector<double> latencies_ms;
   std::atomic<uint64_t> failed{0};
   std::vector<SubmittedQuery> outstanding;
   outstanding.reserve(static_cast<size_t>(qps * seconds) + 1);
@@ -175,7 +155,7 @@ LoopResult RunOpenLoop(Catalog* catalog, const CostModel* model, double qps,
 
     QueryOptions options;
     const auto submit_time = Clock::now();
-    options.on_complete = [&mutex, &latencies_ms, &failed,
+    options.on_complete = [&mutex, &result, &failed,
                            submit_time](const Status& status) {
       const double ms = std::chrono::duration<double, std::milli>(
                             Clock::now() - submit_time)
@@ -185,7 +165,7 @@ LoopResult RunOpenLoop(Catalog* catalog, const CostModel* model, double qps,
         return;
       }
       std::lock_guard<std::mutex> lock(mutex);
-      latencies_ms.push_back(ms);
+      result.latency_ms.Add(ms);
     };
     auto submitted = session->Submit(mix[n % mix.size()], options);
     if (!submitted.ok()) {
@@ -210,10 +190,9 @@ LoopResult RunOpenLoop(Catalog* catalog, const CostModel* model, double qps,
   *peak_running = std::max(*peak_running, engine->scheduler().peak_running());
 
   std::lock_guard<std::mutex> lock(mutex);
-  result.completed = latencies_ms.size();
+  result.completed = result.latency_ms.count();
   result.failed = failed.load();
   result.throughput_qps = window > 0 ? result.completed / window : 0;
-  result.latency_ms = ExactPercentiles(&latencies_ms);
   return result;
 }
 
@@ -326,8 +305,9 @@ int Run(int argc, char** argv) {
     std::printf(
         "closed loop %2d clients: %6.0f q/s  p50=%.2fms p95=%.2fms "
         "p99=%.2fms (%llu ok, %llu failed)\n",
-        r.clients, r.throughput_qps, r.latency_ms.p50, r.latency_ms.p95,
-        r.latency_ms.p99, static_cast<unsigned long long>(r.completed),
+        r.clients, r.throughput_qps, r.latency_ms.Get(50),
+        r.latency_ms.Get(95), r.latency_ms.Get(99),
+        static_cast<unsigned long long>(r.completed),
         static_cast<unsigned long long>(r.failed));
   }
 
@@ -339,7 +319,8 @@ int Run(int argc, char** argv) {
     std::printf(
         "open loop %6.0f q/s offered: %6.0f q/s done  p50=%.2fms "
         "p99=%.2fms (%llu ok, %llu rejected, %llu failed)\n",
-        r.offered_qps, r.throughput_qps, r.latency_ms.p50, r.latency_ms.p99,
+        r.offered_qps, r.throughput_qps, r.latency_ms.Get(50),
+        r.latency_ms.Get(99),
         static_cast<unsigned long long>(r.completed),
         static_cast<unsigned long long>(r.rejected),
         static_cast<unsigned long long>(r.failed));
@@ -368,8 +349,8 @@ int Run(int argc, char** argv) {
                    i == 0 ? "" : ",", r.clients,
                    static_cast<unsigned long long>(r.completed),
                    static_cast<unsigned long long>(r.failed),
-                   r.throughput_qps, r.latency_ms.p50, r.latency_ms.p95,
-                   r.latency_ms.p99);
+                   r.throughput_qps, r.latency_ms.Get(50),
+                   r.latency_ms.Get(95), r.latency_ms.Get(99));
     }
     std::fprintf(f, "],\"open_loop\":[");
     for (size_t i = 0; i < open.size(); ++i) {
@@ -382,7 +363,8 @@ int Run(int argc, char** argv) {
                    static_cast<unsigned long long>(r.completed),
                    static_cast<unsigned long long>(r.rejected),
                    static_cast<unsigned long long>(r.failed),
-                   r.throughput_qps, r.latency_ms.p50, r.latency_ms.p99);
+                   r.throughput_qps, r.latency_ms.Get(50),
+                   r.latency_ms.Get(99));
     }
     std::fprintf(f, "]}\n");
     std::fclose(f);

@@ -123,8 +123,14 @@ int main() {
       }
       if (cmd == ".parallel") {
         std::string sql = line.substr(line.find(".parallel") + 9);
-        MasterOptions options;  // INTER-WITH-ADJ on real slave threads
-        auto result = engine.ExecuteParallel(sql, options);
+        auto prepared = engine.Prepare(sql);
+        if (!prepared.ok()) {
+          std::printf("error: %s\n", prepared.status().ToString().c_str());
+          continue;
+        }
+        RunOptions run;
+        run.master.emplace();  // INTER-WITH-ADJ on real slave threads
+        auto result = engine.Run(*prepared, run);
         if (!result.ok()) {
           std::printf("error: %s\n", result.status().ToString().c_str());
           continue;

@@ -263,15 +263,16 @@ ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
 echo "==> [8/10] tsan config (concurrency subset)"
 # ThreadSanitizer catches the races the resilience layer is most exposed
 # to: the cancellation token, the done-queue control loop, the retry
-# ladder re-launching fragment runs, buffer-pool admission counters, and
-# the serving layer's scheduler/session machinery.
+# ladder re-launching fragment runs, buffer-pool admission counters, the
+# serving layer's scheduler/session machinery, and one prepared statement
+# run from many threads at once (sql_test).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
-  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload)_test' \
+  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload|sql)_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "==> [9/10] fixed-seed chaos smoke (tier1-gated)"

@@ -124,7 +124,7 @@ void QueryProfile::Index(const PlanNode* node, int parent, int depth) {
   if (node->right) Index(node->right.get(), id, depth + 1);
 }
 
-void QueryProfile::AdoptPlan(std::unique_ptr<PlanNode> plan) {
+void QueryProfile::AdoptPlan(std::shared_ptr<const PlanNode> plan) {
   XPRS_CHECK(plan.get() == plan_);
   owned_plan_ = std::move(plan);
 }

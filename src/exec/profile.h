@@ -133,10 +133,10 @@ class QueryProfile {
 
   const PlanNode* plan() const { return plan_; }
 
-  /// Takes ownership of the profiled plan so the profile (and its node
+  /// Shares ownership of the profiled plan so the profile (and its node
   /// labels / StatsFor keys) can outlive the query that built it. `plan`
   /// must be the tree this profile was constructed over.
-  void AdoptPlan(std::unique_ptr<PlanNode> plan);
+  void AdoptPlan(std::shared_ptr<const PlanNode> plan);
 
   /// Stats of a plan node; nullptr when `node` is not part of this
   /// profile's plan (a foreign plan sharing the ExecContext).
@@ -197,7 +197,7 @@ class QueryProfile {
   void Index(const PlanNode* node, int parent, int depth);
 
   const PlanNode* plan_;
-  std::unique_ptr<PlanNode> owned_plan_;  // set by AdoptPlan
+  std::shared_ptr<const PlanNode> owned_plan_;  // set by AdoptPlan
   std::vector<std::unique_ptr<OperatorStats>> operators_;  // preorder
   std::map<const PlanNode*, OperatorStats*> by_node_;
 

@@ -75,6 +75,8 @@ QueryLifecycle::QueryLifecycle(const Observability& obs, std::string label,
       start_seconds_(SpanNowSeconds()),
       root_(obs.trace, "query", "serve", 0),
       admission_(obs.trace, "admission", "serve", 0, root_.id()) {
+  root_.set_start(start_seconds_);  // one clock reading: no uncovered gap
+  admission_.set_start(start_seconds_);
   if (obs_.metrics != nullptr)
     h_total_ = obs_.metrics->histogram("serve.total_seconds");
   root_.AddArg("query", label_);

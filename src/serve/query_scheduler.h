@@ -92,7 +92,7 @@ using ServeJob = std::function<StatusOr<SqlResult>(const ExecGrant&)>;
 /// One query submitted for scheduling.
 struct ServeRequest {
   ServeJob job;
-  /// Admission-time resource estimate (SqlEngine::EstimateProfile).
+  /// Admission-time resource estimate (PreparedStatement::estimate).
   TaskProfile estimate;
   /// Session the query belongs to; fair-share is balanced across sessions.
   int64_t session_id = 0;

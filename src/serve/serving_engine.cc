@@ -128,24 +128,24 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     return poison;
   }
 
-  // Parse, bind and cost synchronously so malformed SQL fails here, not on
-  // a worker thread; the estimate drives admission.
-  StatusOr<TaskProfile> estimate_or =
-      engine_.EstimateProfile(sql, options.shape);
-  if (!estimate_or.ok()) {
-    if (lifecycle != nullptr) lifecycle->OnRejected(estimate_or.status());
-    return estimate_or.status();
+  // Parse, bind and optimize once, synchronously, so malformed SQL fails
+  // here, not on a worker thread; the estimate drives admission and the
+  // job runs this same plan.
+  StatusOr<PreparedStatement> prepared =
+      engine_.Prepare(sql, options.shape);
+  if (!prepared.ok()) {
+    if (lifecycle != nullptr) lifecycle->OnRejected(prepared.status());
+    return prepared.status();
   }
-  TaskProfile estimate = std::move(*estimate_or);
-  estimate.query_id = session->id();
-  if (!session->label_.empty()) estimate.name = session->label_;
 
   auto token = std::make_shared<CancellationToken>();
   if (options.deadline_ms > 0) token->SetDeadlineAfterMs(options.deadline_ms);
   session->TrackToken(token);
 
   ServeRequest request;
-  request.estimate = estimate;
+  request.estimate = prepared->estimate;
+  request.estimate.query_id = session->id();
+  if (!session->label_.empty()) request.estimate.name = session->label_;
   request.session_id = session->id();
   request.weight = session->weight_;
   request.priority = session->priority_;
@@ -165,42 +165,29 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
   };
 
   // The closure owns the token (keeps it alive past a dropped handle) and
-  // shapes execution around the scheduler's grant. With the slow-query
-  // log armed, every statement runs through EXPLAIN ANALYZE so an entry
-  // can name the operators the time went to.
-  const bool allow_parallel = options.allow_parallel;
-  const TreeShape shape = options.shape;
-  const bool profiled = slow_log_.enabled();
-  const uint64_t replay_seed = options.replay_seed;
-  const int64_t session_id = session->id();
-  request.job = [this, sql, token, shape, allow_parallel, lifecycle, profiled,
-                 replay_seed,
-                 session_id](const ExecGrant& grant) -> StatusOr<SqlResult> {
-    auto run_once = [&]() -> StatusOr<SqlResult> {
-      ExecContext ctx;
-      ctx.cancel = grant.cancel;
-      ctx.obs = options_.serve.obs;
-      if (pool_ != nullptr) {
-        ctx.pool = pool_.get();
-        ctx.fetch_retry = &options_.fetch_retry;
-      }
-      if (grant.degrade_to_spill) {
-        ctx.spill.temp_array = &spill_array_;
-        ctx.spill.memory_tuples = options_.degrade_spill_tuples;
-        return profiled ? engine_.ExplainAnalyze(sql, ctx, shape)
-                        : engine_.Execute(sql, ctx, shape);
-      }
-      if (grant.parallelism > 1 && allow_parallel) {
-        MasterOptions master = options_.master;
-        master.ctx = ctx;
-        master.max_slots = grant.parallelism;
-        master.obs = options_.serve.obs;
-        return profiled ? engine_.ExplainAnalyzeParallel(sql, master, shape)
-                        : engine_.ExecuteParallel(sql, master, shape);
-      }
-      return profiled ? engine_.ExplainAnalyze(sql, ctx, shape)
-                      : engine_.Execute(sql, ctx, shape);
-    };
+  // the prepared statement, and runs it as the scheduler's grant says.
+  // With the slow-query log armed, every statement runs profiled so an
+  // entry can name the operators the time went to.
+  request.job = [this, sql, statement = std::move(*prepared), token,
+                 lifecycle, allow_parallel = options.allow_parallel,
+                 replay_seed = options.replay_seed, session_id = session->id()](
+                    const ExecGrant& grant) -> StatusOr<SqlResult> {
+    RunOptions run;
+    run.ctx.cancel = grant.cancel;
+    run.ctx.obs = options_.serve.obs;
+    if (pool_ != nullptr) {
+      run.ctx.pool = pool_.get();
+      run.ctx.fetch_retry = &options_.fetch_retry;
+    }
+    if (grant.degrade_to_spill) {
+      run.ctx.spill.temp_array = &spill_array_;
+      run.ctx.spill.memory_tuples = options_.degrade_spill_tuples;
+    } else if (grant.parallelism > 1 && allow_parallel) {
+      run.master = options_.master;
+      run.master->max_slots = grant.parallelism;
+      run.master->obs = options_.serve.obs;
+    }
+    run.profile = slow_log_.enabled();
 
     // Whole-statement retry ladder above the per-fragment one. The breaker
     // for the query's fault domain is consulted before every attempt: an
@@ -219,7 +206,7 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
         break;
       }
       ++attempts;
-      result = run_once();
+      result = engine_.Run(statement, run);
       if (result.ok()) {
         breaker.RecordSuccess();
         break;
@@ -250,13 +237,12 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
       if (st.code() != StatusCode::kCancelled &&
           st.code() != StatusCode::kDeadlineExceeded &&
           !CircuitBreaker::IsBreakerOpen(st)) {
-        GrantSnapshot snap;
-        snap.parallelism = grant.parallelism;
-        snap.memory_pages = grant.memory_pages;
-        snap.io_rate = grant.io_rate;
-        snap.degraded = grant.degrade_to_spill;
-        poison_log_.RecordFailure(sql, session_id, snap, st, attempts,
-                                  replay_seed);
+        poison_log_.RecordFailure(sql, session_id,
+                                  {.parallelism = grant.parallelism,
+                                   .memory_pages = grant.memory_pages,
+                                   .io_rate = grant.io_rate,
+                                   .degraded = grant.degrade_to_spill},
+                                  st, attempts, replay_seed);
       }
     }
     if (lifecycle != nullptr && result.ok() && result->profile != nullptr)
@@ -270,10 +256,7 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     session->completed_.fetch_add(1, std::memory_order_relaxed);
     return ticket.status();
   }
-  SubmittedQuery submitted;
-  submitted.ticket = *ticket;
-  submitted.cancel = std::move(token);
-  return submitted;
+  return SubmittedQuery{*ticket, std::move(token)};
 }
 
 }  // namespace xprs

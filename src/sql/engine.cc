@@ -1,7 +1,6 @@
 #include "sql/engine.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "util/check.h"
 #include "util/str.h"
@@ -43,6 +42,48 @@ void AnnotateUtilization(const MachineConfig& machine, const CostModel& model,
     sample.tasks_running = s.tasks_running;
     profile->AddUtilSample(sample);
   }
+}
+
+bool HasIndexScan(const PlanNode& node) {
+  return node.kind == PlanKind::kIndexScan ||
+         (node.left != nullptr && HasIndexScan(*node.left)) ||
+         (node.right != nullptr && HasIndexScan(*node.right));
+}
+
+// The whole plan viewed as one task, for admission control.
+TaskProfile AdmissionEstimate(const CostModel& model, const PlanNode& plan,
+                              const std::string& sql) {
+  PlanEstimate est = model.Estimate(plan);
+  TaskProfile profile;
+  profile.name = sql.substr(0, 40);
+  // Degenerate estimates (empty relations) still need a positive T so the
+  // scheduler's io-rate classification stays defined.
+  profile.seq_time = std::max(est.seq_time, 1e-6);
+  profile.total_ios = est.ios;
+
+  // The whole plan is random-io as soon as any leaf index-scans: one
+  // pointer-chasing stream drags the aggregate bandwidth to the random
+  // ceiling (§2.3), which is the conservative admission assumption.
+  profile.pattern = HasIndexScan(plan) ? IoPattern::kRandom
+                                       : IoPattern::kSequential;
+
+  // Working memory: sum over fragments is the safe bound for a query whose
+  // fragments may overlap (pipelined builds feeding a probing consumer).
+  FragmentGraph graph = FragmentGraph::Decompose(plan);
+  for (int id : graph.TopologicalOrder())
+    profile.memory_pages += model.FragmentMemoryPages(graph,
+                                                      graph.fragment(id));
+  return profile;
+}
+
+// A statement's plan and costs, without rows: EXPLAIN's result.
+SqlResult PlanResult(const PreparedStatement& prepared) {
+  SqlResult result;
+  result.schema = prepared.schema;
+  result.seqcost = prepared.seqcost;
+  result.parcost = prepared.parcost;
+  result.plan_text = prepared.plan_text;
+  return result;
 }
 
 }  // namespace
@@ -91,9 +132,11 @@ StatusOr<std::pair<int, size_t>> SqlEngine::ResolveColumn(
 }
 
 StatusOr<size_t> SqlEngine::OutputIndex(
-    const std::vector<std::pair<int, size_t>>& colmap, int rel, size_t col) {
+    const Bound& bound, const std::vector<std::pair<int, size_t>>& colmap,
+    const SqlColumnRef& ref) const {
+  XPRS_ASSIGN_OR_RETURN(auto rel_col, ResolveColumn(bound, ref));
   for (size_t i = 0; i < colmap.size(); ++i)
-    if (colmap[i].first == rel && colmap[i].second == col) return i;
+    if (colmap[i] == rel_col) return i;
   return Status::Internal("column lost during optimization");
 }
 
@@ -145,22 +188,17 @@ StatusOr<SqlEngine::Bound> SqlEngine::Bind(const std::string& sql) const {
   return bound;
 }
 
-StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
-                                   const ExecContext* ctx, TreeShape shape,
-                                   const MasterOptions* master,
-                                   bool force_analyze) {
-  // Fail fast on an already-cancelled or expired query: planning time
-  // counts against the deadline too. The token also rides ctx into the
-  // executors, which poll it at every batch boundary.
-  if (ctx != nullptr && ctx->cancel != nullptr)
-    XPRS_RETURN_IF_ERROR(ctx->cancel->Check());
+template <typename T, typename View>
+StatusOr<T> SqlEngine::PrepareThen(const std::string& sql, TreeShape shape,
+                                   View view) const {
+  XPRS_ASSIGN_OR_RETURN(PreparedStatement prepared, Prepare(sql, shape));
+  return view(prepared);
+}
+
+StatusOr<PreparedStatement> SqlEngine::Prepare(const std::string& sql,
+                                               TreeShape shape) const {
   XPRS_ASSIGN_OR_RETURN(Bound bound, Bind(sql));
   const ParsedQuery& parsed = bound.parsed;
-
-  // Inline EXPLAIN [ANALYZE] prefixes: plain EXPLAIN degrades to plan-only;
-  // ANALYZE executes with profiling attached.
-  const bool analyze = force_analyze || parsed.analyze;
-  if (parsed.explain && !analyze) ctx = nullptr;
 
   // Validate the select list shape.
   size_t num_aggs = 0;
@@ -178,130 +216,113 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
   XPRS_ASSIGN_OR_RETURN(OptimizedQuery optimized,
                         optimizer.Optimize(bound.spec, shape));
 
-  std::unique_ptr<PlanNode> plan = std::move(optimized.plan);
+  PreparedStatement prepared;
+  prepared.seqcost = optimized.seqcost;
+  prepared.parcost = optimized.parcost;
+  prepared.explain = parsed.explain;
+  prepared.analyze = parsed.analyze;
+  prepared.estimate = AdmissionEstimate(*model_, *optimized.plan, sql);
 
-  // Wrap an aggregate on top when requested.
+  std::unique_ptr<PlanNode> plan = std::move(optimized.plan);
+  const auto& colmap = optimized.colmap;
   if (num_aggs == 1) {
+    // Wrap the aggregate on top; its output is the result.
     const SqlSelectItem& agg = parsed.select[0];
-    XPRS_ASSIGN_OR_RETURN(auto agg_rc, ResolveColumn(bound, agg.column));
-    XPRS_ASSIGN_OR_RETURN(
-        size_t agg_out,
-        OutputIndex(optimized.colmap, agg_rc.first, agg_rc.second));
+    XPRS_ASSIGN_OR_RETURN(size_t agg_out,
+                          OutputIndex(bound, colmap, agg.column));
     int group_out = -1;
     if (parsed.group_by.has_value()) {
-      XPRS_ASSIGN_OR_RETURN(auto g_rc,
-                            ResolveColumn(bound, *parsed.group_by));
-      XPRS_ASSIGN_OR_RETURN(
-          size_t g_out,
-          OutputIndex(optimized.colmap, g_rc.first, g_rc.second));
+      XPRS_ASSIGN_OR_RETURN(size_t g_out,
+                            OutputIndex(bound, colmap, *parsed.group_by));
       group_out = static_cast<int>(g_out);
     }
     plan = MakeAggregate(std::move(plan), agg.func, agg_out, group_out);
+    prepared.schema = plan->output_schema;
+    for (size_t i = 0; i < prepared.schema.num_columns(); ++i)
+      prepared.projection.push_back(i);
+  } else {
+    // Projection: * expands to every column with qualified names; explicit
+    // columns project through the optimizer's colmap.
+    std::vector<Column> columns;
+    auto project = [&](size_t index) {
+      auto [rel, col] = colmap[index];
+      const Column& c = bound.spec.relations[rel].table->schema().column(col);
+      prepared.projection.push_back(index);
+      columns.push_back({parsed.from[rel].alias + "." + c.name, c.type});
+    };
+    for (const auto& item : parsed.select) {
+      if (item.kind == SqlSelectItem::Kind::kStar) {
+        for (size_t i = 0; i < colmap.size(); ++i) project(i);
+        continue;
+      }
+      XPRS_ASSIGN_OR_RETURN(size_t index,
+                            OutputIndex(bound, colmap, item.column));
+      project(index);
+    }
+    prepared.schema = Schema(std::move(columns));
   }
+  prepared.plan_text = plan->ToString();
+  prepared.plan = std::move(plan);
+  return prepared;
+}
 
-  SqlResult result;
-  result.seqcost = optimized.seqcost;
-  result.parcost = optimized.parcost;
-  result.plan_text = plan->ToString();
+StatusOr<SqlResult> SqlEngine::Run(const PreparedStatement& prepared,
+                                   const RunOptions& options) const {
+  // Fail fast on an already-cancelled or expired query. The token also
+  // rides ctx into the executors, which poll it at every batch boundary.
+  if (options.ctx.cancel != nullptr)
+    XPRS_RETURN_IF_ERROR(options.ctx.cancel->Check());
 
-  // `plan` may be moved into the profile below; use the raw pointer after
-  // this point.
-  const PlanNode* planp = plan.get();
-
-  if (ctx == nullptr) {  // EXPLAIN
-    result.schema = planp->output_schema;
-    return result;
-  }
+  SqlResult result = PlanResult(prepared);
+  const bool analyze = options.profile || prepared.analyze;
+  if (prepared.explain && !analyze) return result;
 
   // EXPLAIN ANALYZE: build the profile over the final plan (aggregate
   // included), annotate per-node estimates and the fluid-sim utilization
-  // timeline, and attach it to the execution context(s).
-  std::shared_ptr<QueryProfile> profile;
-  ExecContext profiled_ctx;
-  MasterOptions profiled_master;
+  // timeline, and attach it to the execution context.
+  const PlanNode& plan = *prepared.plan;
+  ExecContext ctx = options.ctx;
   if (analyze) {
-    profile = std::make_shared<QueryProfile>(planp);
-    AnnotateEstimates(*model_, *planp, profile.get());
-    AnnotateUtilization(machine_, *model_, *planp,
-                        master != nullptr ? master->sched : SchedulerOptions(),
-                        profile.get());
-    profile->AdoptPlan(std::move(plan));
-    profiled_ctx = *ctx;
-    profiled_ctx.profile = profile.get();
-    ctx = &profiled_ctx;
-    if (master != nullptr) {
-      profiled_master = *master;
-      profiled_master.ctx.profile = profile.get();
-      master = &profiled_master;
-    }
+    result.profile = std::make_shared<QueryProfile>(&plan);
+    AnnotateEstimates(*model_, plan, result.profile.get());
+    AnnotateUtilization(
+        machine_, *model_, plan,
+        options.master ? options.master->sched : SchedulerOptions(),
+        result.profile.get());
+    result.profile->AdoptPlan(prepared.plan);
+    ctx.profile = result.profile.get();
   }
 
   std::vector<Tuple> rows;
-  if (master != nullptr) {
+  if (options.master) {
     // Parallel path: fragments of the plan run on slave-backend threads
     // under the adaptive scheduler.
-    ParallelMaster backend(machine_, model_, *master);
+    MasterOptions master = *options.master;
+    master.ctx = ctx;
+    ParallelMaster backend(machine_, model_, master);
     XPRS_ASSIGN_OR_RETURN(MasterRunResult run,
-                          backend.Run({{planp, /*query_id=*/0}}));
+                          backend.Run({{&plan, /*query_id=*/0}}));
     rows = std::move(run.query_results.at(0));
   } else {
-    XPRS_ASSIGN_OR_RETURN(rows, ExecutePlanSequential(*planp, *ctx));
+    XPRS_ASSIGN_OR_RETURN(rows, ExecutePlanSequential(plan, ctx));
   }
 
-  if (profile != nullptr) {
-    result.analyze_text = profile->ToText();
-    result.analyze_json = profile->ToJson();
-    result.profile = profile;
+  if (result.profile != nullptr) {
+    result.analyze_text = result.profile->ToText();
+    result.analyze_json = result.profile->ToJson();
     // Reconcile with any attached observability: publish profile.* counters
     // and the utilization timeline next to the scheduler's own events.
-    if (master != nullptr) {
-      profile->PublishMetrics(master->obs.metrics);
-      profile->EmitTrace(master->obs.trace);
+    if (options.master) {
+      result.profile->PublishMetrics(options.master->obs.metrics);
+      result.profile->EmitTrace(options.master->obs.trace);
     }
   }
 
-  if (num_aggs == 1) {
-    result.schema = planp->output_schema;
-    result.rows = std::move(rows);
-    return result;
-  }
-
-  // Projection: * expands to every column with qualified names; explicit
-  // columns project through the optimizer's colmap.
-  std::vector<size_t> out_cols;
-  std::vector<Column> out_schema;
-  auto qualified_name = [&](size_t output_index) {
-    auto [rel, col] = optimized.colmap[output_index];
-    return parsed.from[rel].alias + "." +
-           bound.spec.relations[rel].table->schema().column(col).name;
-  };
-  for (const auto& item : parsed.select) {
-    if (item.kind == SqlSelectItem::Kind::kStar) {
-      for (size_t i = 0; i < optimized.colmap.size(); ++i) {
-        out_cols.push_back(i);
-        auto [rel, col] = optimized.colmap[i];
-        out_schema.push_back(
-            {qualified_name(i),
-             bound.spec.relations[rel].table->schema().column(col).type});
-      }
-      continue;
-    }
-    XPRS_ASSIGN_OR_RETURN(auto rc, ResolveColumn(bound, item.column));
-    XPRS_ASSIGN_OR_RETURN(size_t idx,
-                          OutputIndex(optimized.colmap, rc.first, rc.second));
-    out_cols.push_back(idx);
-    out_schema.push_back(
-        {qualified_name(idx),
-         bound.spec.relations[rc.first].table->schema().column(rc.second)
-             .type});
-  }
-
-  result.schema = Schema(std::move(out_schema));
   result.rows.reserve(rows.size());
   for (const Tuple& row : rows) {
     std::vector<Value> values;
-    values.reserve(out_cols.size());
-    for (size_t idx : out_cols) values.push_back(row.value(idx));
+    values.reserve(prepared.projection.size());
+    for (size_t idx : prepared.projection) values.push_back(row.value(idx));
     result.rows.push_back(Tuple(std::move(values)));
   }
   return result;
@@ -310,66 +331,35 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
 StatusOr<SqlResult> SqlEngine::Execute(const std::string& sql,
                                        const ExecContext& ctx,
                                        TreeShape shape) {
-  return Run(sql, &ctx, shape);
+  return PrepareThen<SqlResult>(sql, shape, [&](const PreparedStatement& p) {
+    return Run(p, {ctx, std::nullopt, /*profile=*/false});
+  });
 }
 
 StatusOr<SqlResult> SqlEngine::Explain(const std::string& sql,
                                        TreeShape shape) {
-  return Run(sql, nullptr, shape);
-}
-
-StatusOr<SqlResult> SqlEngine::ExecuteParallel(const std::string& sql,
-                                               const MasterOptions& options,
-                                               TreeShape shape) {
-  return Run(sql, &options.ctx, shape, &options);
+  return PrepareThen<SqlResult>(sql, shape, PlanResult);
 }
 
 StatusOr<SqlResult> SqlEngine::ExplainAnalyze(const std::string& sql,
                                               const ExecContext& ctx,
                                               TreeShape shape) {
-  return Run(sql, &ctx, shape, nullptr, /*force_analyze=*/true);
+  return PrepareThen<SqlResult>(sql, shape, [&](const PreparedStatement& p) {
+    return Run(p, {ctx, std::nullopt, /*profile=*/true});
+  });
 }
 
 StatusOr<SqlResult> SqlEngine::ExplainAnalyzeParallel(
     const std::string& sql, const MasterOptions& options, TreeShape shape) {
-  return Run(sql, &options.ctx, shape, &options, /*force_analyze=*/true);
+  return PrepareThen<SqlResult>(sql, shape, [&](const PreparedStatement& p) {
+    return Run(p, {options.ctx, options, /*profile=*/true});
+  });
 }
 
 StatusOr<TaskProfile> SqlEngine::EstimateProfile(const std::string& sql,
                                                  TreeShape shape) {
-  XPRS_ASSIGN_OR_RETURN(Bound bound, Bind(sql));
-  TwoPhaseOptimizer optimizer(machine_, model_);
-  XPRS_ASSIGN_OR_RETURN(OptimizedQuery optimized,
-                        optimizer.Optimize(bound.spec, shape));
-  const PlanNode& plan = *optimized.plan;
-
-  PlanEstimate est = model_->Estimate(plan);
-  TaskProfile profile;
-  profile.name = sql.substr(0, 40);
-  // Degenerate estimates (empty relations) still need a positive T so the
-  // scheduler's io-rate classification stays defined.
-  profile.seq_time = std::max(est.seq_time, 1e-6);
-  profile.total_ios = est.ios;
-
-  // The whole plan is random-io as soon as any leaf index-scans: one
-  // pointer-chasing stream drags the aggregate bandwidth to the random
-  // ceiling (§2.3), which is the conservative admission assumption.
-  std::function<bool(const PlanNode&)> has_index_scan =
-      [&](const PlanNode& node) {
-        if (node.kind == PlanKind::kIndexScan) return true;
-        if (node.left != nullptr && has_index_scan(*node.left)) return true;
-        return node.right != nullptr && has_index_scan(*node.right);
-      };
-  profile.pattern = has_index_scan(plan) ? IoPattern::kRandom
-                                         : IoPattern::kSequential;
-
-  // Working memory: sum over fragments is the safe bound for a query whose
-  // fragments may overlap (pipelined builds feeding a probing consumer).
-  FragmentGraph graph = FragmentGraph::Decompose(plan);
-  for (int id : graph.TopologicalOrder())
-    profile.memory_pages += model_->FragmentMemoryPages(graph,
-                                                        graph.fragment(id));
-  return profile;
+  return PrepareThen<TaskProfile>(
+      sql, shape, [](const PreparedStatement& p) { return p.estimate; });
 }
 
 }  // namespace xprs

@@ -6,6 +6,7 @@
 #define XPRS_SQL_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,63 +39,84 @@ struct SqlResult {
   std::string ToString() const;
 };
 
+/// One statement parsed, bound and optimized once (SqlEngine::Prepare).
+/// Immutable, so any number of threads may Run it at once.
+struct PreparedStatement {
+  /// The final plan, aggregate included; shared so an EXPLAIN ANALYZE
+  /// profile can keep it alive past the run.
+  std::shared_ptr<const PlanNode> plan;
+  /// Plan output positions of the result columns, and their schema.
+  std::vector<size_t> projection;
+  Schema schema;
+  double seqcost = 0.0;
+  double parcost = 0.0;
+  std::string plan_text;
+  /// Inline prefixes: EXPLAIN runs nothing, EXPLAIN ANALYZE profiles.
+  bool explain = false;
+  bool analyze = false;
+  /// Admission estimate for the serving layer: the optimizer's plan,
+  /// before the aggregate is wrapped on, as one task — sequential time T,
+  /// page reads D, the i/o pattern (random as soon as the plan
+  /// index-scans) and working memory summed over the plan's fragments.
+  TaskProfile estimate;
+};
+
+/// How SqlEngine::Run executes a prepared statement.
+struct RunOptions {
+  /// A cancelled or expired ctx.cancel fails the run before it starts.
+  ExecContext ctx;
+  /// When set, the parallel master runs the plan's fragments on slave
+  /// threads with §2.4 adjustment; `ctx` replaces master->ctx.
+  std::optional<MasterOptions> master;
+  /// EXPLAIN ANALYZE: attach a QueryProfile and fill analyze_text /
+  /// analyze_json / profile (actual-vs-estimated per operator).
+  bool profile = false;
+};
+
 /// The engine.
 ///
-/// Thread-safety: the engine holds no per-statement state — Execute /
-/// Explain / ExecuteParallel build everything (binder output, optimizer,
-/// operator trees, parallel master) on the caller's stack — so concurrent
-/// statements from different threads are safe, provided the catalog
-/// follows its DDL-then-serve discipline (see storage/catalog.h): tables
+/// Thread-safety: the engine holds no per-statement state. Prepare returns
+/// an immutable PreparedStatement and Run builds operator trees and the
+/// parallel master per call, so a PreparedStatement may run from any
+/// thread, from many at once; the serving layer prepares on the submitting
+/// thread and runs on its workers. This holds provided the catalog follows
+/// its DDL-then-serve discipline (see storage/catalog.h): tables
 /// referenced by in-flight queries must not be loaded, re-indexed or
 /// re-analyzed concurrently. The catalog's name map takes its own lock, the
 /// cost model is immutable, and the storage read paths (disk array, buffer
-/// pool, heap file, B+tree) are shared by parallel slaves already. The
-/// serving layer (src/serve) relies on this to run one engine under N
-/// sessions.
+/// pool, heap file, B+tree) are shared by parallel slaves already.
 class SqlEngine {
  public:
   SqlEngine(Catalog* catalog, const MachineConfig& machine,
             const CostModel* model);
 
-  /// Parses, optimizes (bushy two-phase by default) and executes `sql`.
-  /// A ctx.cancel token (or deadline) is honored from planning onwards:
-  /// the statement returns Cancelled / DeadlineExceeded with zero pinned
-  /// frames instead of running to completion.
+  /// Parses, binds (select list included), optimizes (bushy two-phase by
+  /// default) and estimates `sql`. Never executes anything.
+  StatusOr<PreparedStatement> Prepare(
+      const std::string& sql, TreeShape shape = TreeShape::kBushy) const;
+
+  /// Executes a prepared statement (serial, vectorized, spilling or
+  /// parallel as `options` say). A plain EXPLAIN returns its plan only.
+  StatusOr<SqlResult> Run(const PreparedStatement& prepared,
+                          const RunOptions& options = RunOptions()) const;
+
+  // One-line views over Prepare and Run.
   StatusOr<SqlResult> Execute(const std::string& sql,
                               const ExecContext& ctx = ExecContext(),
                               TreeShape shape = TreeShape::kBushy);
-
-  /// Parses and optimizes only; plan_text / costs are filled, rows empty.
+  /// Plan, costs and schema; no rows.
   StatusOr<SqlResult> Explain(const std::string& sql,
                               TreeShape shape = TreeShape::kBushy);
-
-  /// Like Execute, but runs the plan through the master backend: fragments
-  /// are scheduled by the adaptive algorithm and executed by real slave
-  /// threads with dynamic parallelism adjustment.
-  StatusOr<SqlResult> ExecuteParallel(
-      const std::string& sql, const MasterOptions& options = MasterOptions(),
-      TreeShape shape = TreeShape::kBushy);
-
-  /// EXPLAIN ANALYZE: executes `sql` with a QueryProfile attached and fills
-  /// analyze_text / analyze_json / profile (actual-vs-estimated per
-  /// operator). The SQL text itself may also carry an `EXPLAIN ANALYZE`
-  /// prefix through Execute / ExecuteParallel with the same effect.
+  /// Profiled runs; an `EXPLAIN ANALYZE` prefix through Execute does the
+  /// same. The parallel report adds per-fragment stats and the §2.4
+  /// adjustment timeline.
   StatusOr<SqlResult> ExplainAnalyze(const std::string& sql,
                                      const ExecContext& ctx = ExecContext(),
                                      TreeShape shape = TreeShape::kBushy);
-
-  /// EXPLAIN ANALYZE through the parallel master: the report additionally
-  /// carries per-fragment stats and the §2.4 adjustment timeline.
   StatusOr<SqlResult> ExplainAnalyzeParallel(
       const std::string& sql, const MasterOptions& options = MasterOptions(),
       TreeShape shape = TreeShape::kBushy);
-
-  /// Admission-time resource estimate for the serving layer (src/serve):
-  /// parses and optimizes `sql` and reports the whole plan viewed as one
-  /// task — estimated sequential time T, total page reads D, the dominant
-  /// i/o pattern (random as soon as the plan index-scans), and working
-  /// memory summed over the plan's fragments (hash tables, sort buffers,
-  /// in 8 KB pages). Never executes anything.
+  /// PreparedStatement::estimate.
   StatusOr<TaskProfile> EstimateProfile(const std::string& sql,
                                         TreeShape shape = TreeShape::kBushy);
 
@@ -110,14 +132,15 @@ class SqlEngine {
   StatusOr<std::pair<int, size_t>> ResolveColumn(
       const Bound& bound, const SqlColumnRef& ref) const;
 
-  // Position of (rel, col) in an optimized plan's output, via its colmap.
-  static StatusOr<size_t> OutputIndex(
-      const std::vector<std::pair<int, size_t>>& colmap, int rel, size_t col);
+  // Position of a column in an optimized plan's output, via its colmap.
+  StatusOr<size_t> OutputIndex(
+      const Bound& bound, const std::vector<std::pair<int, size_t>>& colmap,
+      const SqlColumnRef& ref) const;
 
-  StatusOr<SqlResult> Run(const std::string& sql, const ExecContext* ctx,
-                          TreeShape shape,
-                          const MasterOptions* master = nullptr,
-                          bool force_analyze = false);
+  // `view` applied to Prepare(sql, shape), or Prepare's error.
+  template <typename T, typename View>
+  StatusOr<T> PrepareThen(const std::string& sql, TreeShape shape,
+                          View view) const;
 
   Catalog* const catalog_;
   MachineConfig machine_;

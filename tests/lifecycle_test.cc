@@ -68,6 +68,29 @@ std::unique_ptr<Catalog> MakeCatalog(DiskArray* array, int rows) {
   return catalog;
 }
 
+// A scripted clock that advances on every read, as a preemption between
+// two reads would.
+double g_ticks = 0.0;
+double TickingClock() { return g_ticks += 1.0; }
+
+TEST(LifecycleTest, RootAndAdmissionStartAtOneClockReading) {
+  MemoryTraceRecorder recorder;
+  SetSpanClockForTest(&TickingClock);
+  {
+    QueryLifecycle lifecycle(Observability{&recorder, nullptr}, "SELECT 1",
+                             /*session_id=*/1);
+    lifecycle.OnRejected(Status::Aborted("probe"));
+  }
+  SetSpanClockForTest(nullptr);
+
+  std::vector<SpanTree> trees = CollectTrees(recorder.snapshot());
+  ASSERT_EQ(trees.size(), 1u);
+  auto admission = trees[0].children.find("admission");
+  ASSERT_NE(admission, trees[0].children.end());
+  EXPECT_EQ(admission->second.timestamp, trees[0].root.timestamp);
+  EXPECT_EQ(admission->second.duration, trees[0].root.duration);
+}
+
 TEST(LifecycleTest, ChildSpansCoverRootWithin95Percent) {
   DiskArray array(4, DiskMode::kInstant);
   auto catalog = MakeCatalog(&array, 2000);

@@ -437,6 +437,11 @@ TEST_F(ServingEngineTest, ParseErrorsSurfaceSynchronously) {
   EXPECT_FALSE(q.ok());
   auto missing = session->Submit("SELECT * FROM nosuch");
   EXPECT_FALSE(missing.ok());
+  // Select-list binding happens before admission too.
+  for (const char* sql :
+       {"SELECT zz FROM custs", "SELECT a FROM custs GROUP BY a",
+        "SELECT count(a), b FROM custs"})
+    EXPECT_FALSE(session->Submit(sql).ok()) << sql;
   EXPECT_EQ(session->num_outstanding(), 0);
   engine->CloseSession(session);
 }

@@ -1,7 +1,11 @@
-// Tests for the SQL front door: lexer, parser, binder, and end-to-end
-// execution against the optimizer and executor.
+// Tests for the SQL front door: lexer, parser, binder, end-to-end execution
+// against the optimizer and executor, and one prepared statement run in
+// every engine mode.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <thread>
 
 #include "sql/engine.h"
 #include "util/rng.h"
@@ -239,22 +243,120 @@ TEST_F(SqlEngineTest, UnqualifiedColumnsOnSingleTable) {
   EXPECT_EQ(std::get<std::string>(r->rows[0].value(0)), "c42");
 }
 
-TEST_F(SqlEngineTest, ParallelExecutionMatchesSequential) {
-  const char* queries[] = {
-      "SELECT * FROM custs WHERE a BETWEEN 10 AND 40",
-      "SELECT o.b, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 20",
-      "SELECT count(o.a) FROM orders o, custs c WHERE o.a = c.a",
+// Rows as an order-insensitive multiset.
+std::multiset<std::string> Canonical(const SqlResult& result) {
+  std::multiset<std::string> rows;
+  for (const Tuple& t : result.rows) rows.insert(t.ToString());
+  return rows;
+}
+
+const char* kPipelineQueries[] = {
+    "SELECT * FROM custs WHERE a BETWEEN 10 AND 40",
+    "SELECT o.b, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 20",
+    "SELECT count(o.a) FROM orders o, custs c WHERE o.a = c.a",
+    "SELECT count(a) FROM orders WHERE a < 5 GROUP BY a",
+};
+
+TEST_F(SqlEngineTest, OnePreparedStatementRunsInEveryMode) {
+  DiskArray spill_array(2, DiskMode::kInstant);
+  std::vector<std::pair<const char*, RunOptions>> modes(6);
+  modes[0].first = "serial";
+  modes[1].first = "vectorized";
+  modes[1].second.ctx.vectorized = true;
+  modes[2].first = "spill";
+  modes[2].second.ctx.spill.temp_array = &spill_array;
+  modes[2].second.ctx.spill.memory_tuples = 8;
+  modes[3].first = "parallel";
+  modes[3].second.master.emplace();
+  modes[4].first = "explain analyze";
+  modes[4].second.profile = true;
+  modes[5].first = "parallel explain analyze";
+  modes[5].second.master.emplace();
+  modes[5].second.profile = true;
+
+  for (const char* sql : kPipelineQueries) {
+    auto expected = engine_->Execute(sql);
+    ASSERT_TRUE(expected.ok()) << sql << ": " << expected.status().ToString();
+    auto prepared = engine_->Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << sql;
+    for (const auto& [mode, options] : modes) {
+      auto r = engine_->Run(*prepared, options);
+      ASSERT_TRUE(r.ok()) << sql << " [" << mode
+                          << "]: " << r.status().ToString();
+      EXPECT_EQ(r->schema.ToString(), expected->schema.ToString())
+          << sql << " [" << mode << "]";
+      EXPECT_EQ(Canonical(*r), Canonical(*expected))
+          << sql << " [" << mode << "]";
+      EXPECT_EQ(r->profile != nullptr, options.profile)
+          << sql << " [" << mode << "]";
+    }
+  }
+}
+
+TEST_F(SqlEngineTest, PreparedStatementRunsTwiceAlike) {
+  for (const char* sql : kPipelineQueries) {
+    auto prepared = engine_->Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << sql;
+    auto first = engine_->Run(*prepared);
+    auto second = engine_->Run(*prepared);
+    ASSERT_TRUE(first.ok() && second.ok()) << sql;
+    EXPECT_EQ(Canonical(*first), Canonical(*second)) << sql;
+  }
+}
+
+TEST_F(SqlEngineTest, ConcurrentRunsOfOneStatementAgree) {
+  const char* sql =
+      "SELECT o.b, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 20";
+  auto expected = engine_->Execute(sql);
+  ASSERT_TRUE(expected.ok());
+  auto prepared = engine_->Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  for (bool parallel : {false, true}) {
+    RunOptions options;
+    if (parallel) options.master.emplace().max_slots = 2;
+    std::vector<std::multiset<std::string>> results(4);
+    std::vector<std::thread> threads;
+    for (auto& result : results) {
+      threads.emplace_back([&] {
+        auto r = engine_->Run(*prepared, options);
+        if (r.ok()) result = Canonical(*r);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const auto& result : results)
+      EXPECT_EQ(result, Canonical(*expected)) << "parallel=" << parallel;
+  }
+}
+
+TEST_F(SqlEngineTest, EstimateProfileGolden) {
+  // Admission grants are sized from these figures, so a change to how
+  // statements are prepared must not move them.
+  struct Golden {
+    const char* sql;
+    double seq_time;
+    double total_ios;
+    IoPattern pattern;
+    double memory_pages;
   };
-  for (const char* sql : queries) {
-    auto seq = engine_->Execute(sql);
-    MasterOptions options;
-    auto par = engine_->ExecuteParallel(sql, options);
-    ASSERT_TRUE(seq.ok()) << sql;
-    ASSERT_TRUE(par.ok()) << sql << ": " << par.status().ToString();
-    std::multiset<std::string> a, b;
-    for (const auto& t : seq->rows) a.insert(t.ToString());
-    for (const auto& t : par->rows) b.insert(t.ToString());
-    EXPECT_EQ(a, b) << sql;
+  const Golden goldens[] = {
+      {"SELECT * FROM custs", 0.0603618, 1, IoPattern::kSequential, 0},
+      {"SELECT b FROM custs WHERE a = 42", 0.029036908571428571, 1,
+       IoPattern::kRandom, 0},
+      {"SELECT o.b, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 10",
+       0.28047440000000001, 2, IoPattern::kSequential, 1},
+      {"SELECT count(a) FROM orders WHERE a < 5 GROUP BY a",
+       0.15345779999999998, 1, IoPattern::kSequential, 0},
+      {"SELECT count(o1.a) FROM orders o1, custs c, orders o2 "
+       "WHERE o1.a = c.a AND c.a = o2.a AND c.a < 3",
+       0.49127027999999995, 3, IoPattern::kSequential, 1.03},
+  };
+  for (const Golden& g : goldens) {
+    auto estimate = engine_->EstimateProfile(g.sql);
+    ASSERT_TRUE(estimate.ok()) << g.sql;
+    EXPECT_DOUBLE_EQ(estimate->seq_time, g.seq_time) << g.sql;
+    EXPECT_DOUBLE_EQ(estimate->total_ios, g.total_ios) << g.sql;
+    EXPECT_EQ(estimate->pattern, g.pattern) << g.sql;
+    EXPECT_DOUBLE_EQ(estimate->memory_pages, g.memory_pages) << g.sql;
   }
 }
 

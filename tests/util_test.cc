@@ -1,14 +1,12 @@
-// Unit tests for the util module: Status, Rng, stats, strings, SpinLock.
+// Unit tests for the util module: Status, Rng, stats, strings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "util/rng.h"
-#include "util/spinlock.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/str.h"
@@ -200,33 +198,6 @@ TEST(StrTest, SplitKeepsEmptyFields) {
   auto parts = StrSplit("a,,b", ',');
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[1], "");
-}
-
-TEST(SpinLockTest, MutualExclusion) {
-  SpinLock lock;
-  int counter = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        std::lock_guard<SpinLock> g(lock);
-        ++counter;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, kThreads * kIters);
-}
-
-TEST(SpinLockTest, TryLock) {
-  SpinLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 }  // namespace

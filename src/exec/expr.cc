@@ -194,17 +194,20 @@ void EvalCompareColumn(const ColumnBatch& batch, size_t column, CmpOp op,
 }  // namespace
 
 bool Predicate::Eval(const Tuple& tuple) const {
-  const Node* n = node_.get();
-  switch (n->kind) {
+  return EvalNode(*node_, tuple);
+}
+
+bool Predicate::EvalNode(const Node& node, const Tuple& tuple) {
+  switch (node.kind) {
     case Kind::kTrue:
       return true;
     case Kind::kCompare:
-      XPRS_CHECK_LT(n->column, tuple.size());
-      return EvalCompare(tuple.value(n->column), n->op, n->constant);
+      XPRS_CHECK_LT(node.column, tuple.size());
+      return EvalCompare(tuple.value(node.column), node.op, node.constant);
     case Kind::kAnd:
-      return Predicate(n->left).Eval(tuple) && Predicate(n->right).Eval(tuple);
+      return EvalNode(*node.left, tuple) && EvalNode(*node.right, tuple);
     case Kind::kOr:
-      return Predicate(n->left).Eval(tuple) || Predicate(n->right).Eval(tuple);
+      return EvalNode(*node.left, tuple) || EvalNode(*node.right, tuple);
   }
   return false;
 }

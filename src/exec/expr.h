@@ -76,6 +76,11 @@ class Predicate {
   struct Node;
   explicit Predicate(std::shared_ptr<const Node> node);
 
+  // Evaluates `node` against one tuple. Recursing on the node, not on a
+  // Predicate copy, keeps the per-tuple path off the shared_ptr refcount
+  // that every slave evaluating the same predicate would contend on.
+  static bool EvalNode(const Node& node, const Tuple& tuple);
+
   // Evaluates `node` over the rows listed in `in` (ascending physical
   // indices), appending survivors to *out in the same order.
   static void EvalBatchNode(const Node& node, const ColumnBatch& batch,

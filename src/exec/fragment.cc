@@ -199,6 +199,19 @@ Status ValidateFragmentGraph(const FragmentGraph& graph,
 
 namespace {
 
+// The materialized output feeding blocked input `node` of `frag`.
+StatusOr<const TempResult*> BlockedInput(
+    const Fragment& frag, const PlanNode* node,
+    const std::map<int, const TempResult*>& inputs) {
+  const int producer = frag.blocked_inputs.at(node);
+  auto temp = inputs.find(producer);
+  if (temp == inputs.end() || temp->second == nullptr)
+    return Status::FailedPrecondition(
+        StrFormat("fragment %d input (fragment %d) not materialized",
+                  frag.id, producer));
+  return temp->second;
+}
+
 StatusOr<std::unique_ptr<Operator>> BuildFrag(
     const FragmentGraph& graph, const Fragment& frag, const PlanNode* node,
     const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
@@ -215,13 +228,9 @@ StatusOr<std::unique_ptr<Operator>> BuildFrag(
       XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, (*factory)(node));
       return MaybeCancelGuard(std::move(leaf), ctx.cancel);
     }
-    auto temp = inputs.find(blocked->second);
-    if (temp == inputs.end() || temp->second == nullptr)
-      return Status::FailedPrecondition(
-          StrFormat("fragment %d input (fragment %d) not materialized",
-                    frag.id, blocked->second));
-    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp->second),
-                            ctx.cancel);
+    XPRS_ASSIGN_OR_RETURN(const TempResult* temp,
+                          BlockedInput(frag, node, inputs));
+    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp), ctx.cancel);
   }
   if (partition_leftmost && factory != nullptr &&
       (node->kind == PlanKind::kSeqScan ||
@@ -249,15 +258,11 @@ StatusOr<std::unique_ptr<Operator>> BuildFrag(
       // factory serves the driving leaf, materialized producer output
       // serves every other blocked input. Neither is profiled.
       std::unique_ptr<Operator> leaf;
-      auto blocked_leaf = frag.blocked_inputs.find(n);
-      if (blocked_leaf != frag.blocked_inputs.end() &&
+      if (frag.blocked_inputs.count(n) > 0 &&
           !(leftmost && factory != nullptr)) {
-        auto temp = inputs.find(blocked_leaf->second);
-        if (temp == inputs.end() || temp->second == nullptr)
-          return Status::FailedPrecondition(
-              StrFormat("fragment %d input (fragment %d) not materialized",
-                        frag.id, blocked_leaf->second));
-        leaf = std::make_unique<TempSourceOp>(temp->second);
+        XPRS_ASSIGN_OR_RETURN(const TempResult* temp,
+                              BlockedInput(frag, n, inputs));
+        leaf = std::make_unique<TempSourceOp>(temp);
       } else {
         XPRS_ASSIGN_OR_RETURN(leaf, (*factory)(n));
       }
@@ -343,16 +348,20 @@ StatusOr<std::unique_ptr<Operator>> BuildFrag(
           BuildFrag(graph, frag, node->left.get(), inputs, ctx,
                     num_partitions, partition_index, partition_leftmost,
                     factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
       if (ctx.spill.temp_array != nullptr) {
+        XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
+                              BuildFrag(graph, frag, node->right.get(),
+                                        inputs, ctx, 1, 0, false, nullptr));
         op = std::make_unique<GraceHashJoinOp>(std::move(outer),
                                                std::move(inner),
                                                node->left_key,
                                                node->right_key, ctx.spill);
       } else {
-        op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
+        // The build side is always a blocked input (Decompose cuts there),
+        // and every prober shares its materialized output's one index.
+        XPRS_ASSIGN_OR_RETURN(const TempResult* build,
+                              BlockedInput(frag, node->right.get(), inputs));
+        op = std::make_unique<HashJoinOp>(std::move(outer), build,
                                           node->left_key, node->right_key);
       }
       break;

@@ -7,7 +7,8 @@
 // inter-operation parallelism in XPRS is inter-fragment parallelism.
 //
 // Fragment outputs are materialized into shared memory (TempResult) and
-// consumed by the parent fragment through a TempSourceOp.
+// consumed by the parent fragment through a TempSourceOp, or, on a hash
+// join's build edge, probed through the result's one shared index.
 
 #ifndef XPRS_EXEC_FRAGMENT_H_
 #define XPRS_EXEC_FRAGMENT_H_

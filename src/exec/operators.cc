@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -247,6 +248,58 @@ Status NestLoopJoinOp::Close() {
   return Status::OK();
 }
 
+// ---------------------------------------------------------- JoinHashTable
+
+uint32_t JoinHashTable::BucketOf(int32_t key) const {
+  // Fibonacci hashing: the top bits_ bits of a multiplicative hash.
+  const uint32_t h = static_cast<uint32_t>(key) * 2654435769u;
+  return bits_ == 0 ? 0 : h >> (32 - bits_);
+}
+
+void JoinHashTable::Build(const std::vector<Tuple>& rows, size_t key) {
+  XPRS_CHECK_LT(rows.size(), size_t{UINT32_MAX});
+  std::vector<int32_t> keys;
+  std::vector<uint32_t> positions;
+  keys.reserve(rows.size());
+  positions.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    int32_t k;
+    if (!GetKey(rows[i], key, &k)) continue;
+    keys.push_back(k);
+    positions.push_back(static_cast<uint32_t>(i));
+  }
+  // One bucket per entry, rounded up to a power of two; a counting sort
+  // groups the entries by bucket and keeps row order within each.
+  bits_ = 0;
+  while ((size_t{1} << bits_) < keys.size()) ++bits_;
+  const size_t num_buckets = size_t{1} << bits_;
+  bucket_start_.assign(num_buckets + 1, 0);
+  for (int32_t k : keys) ++bucket_start_[BucketOf(k) + 1];
+  for (size_t b = 0; b < num_buckets; ++b)
+    bucket_start_[b + 1] += bucket_start_[b];
+  std::vector<uint32_t> fill(bucket_start_.begin(), bucket_start_.end() - 1);
+  keys_.resize(keys.size());
+  rows_.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint32_t entry = fill[BucketOf(keys[i])]++;
+    keys_[entry] = keys[i];
+    rows_[entry] = positions[i];
+  }
+}
+
+void JoinHashTable::Clear() {
+  bits_ = 0;
+  bucket_start_.clear();
+  keys_.clear();
+  rows_.clear();
+}
+
+std::pair<uint32_t, uint32_t> JoinHashTable::Bucket(int32_t key) const {
+  if (keys_.empty()) return {0, 0};
+  const uint32_t b = BucketOf(key);
+  return {bucket_start_[b], bucket_start_[b + 1]};
+}
+
 // --------------------------------------------------------------- HashJoin
 
 HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
@@ -254,9 +307,19 @@ HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
                        size_t right_key)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
+      build_(nullptr),
       left_key_(left_key),
       right_key_(right_key),
       schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
+
+HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
+                       const TempResult* build, size_t left_key,
+                       size_t right_key)
+    : outer_(std::move(outer)),
+      build_(build),
+      left_key_(left_key),
+      right_key_(right_key),
+      schema_(Schema::Concat(outer_->schema(), build->schema)) {}
 
 Status HashJoinOp::Open() {
   Status st = OpenImpl();
@@ -264,60 +327,67 @@ Status HashJoinOp::Open() {
     // A failed build must not leak the open inner child (or its pinned
     // buffer frames): Drain and the blocking consumers above skip Close
     // after a failed Open. Closes are tolerant of never-opened children.
-    table_.clear();
-    (void)inner_->Close();
+    owned_rows_.clear();
+    owned_table_.Clear();
+    if (inner_ != nullptr) (void)inner_->Close();
     (void)outer_->Close();
   }
   return st;
 }
 
 Status HashJoinOp::OpenImpl() {
-  table_.clear();
-  build_rows_ = 0;
-  probing_ = false;
+  entry_ = entry_end_ = 0;
+  if (build_ != nullptr) {
+    size_t inserted = 0;
+    table_ = &build_->JoinIndex(right_key_, &inserted);
+    rows_ = &build_->tuples;
+    ProfBuildRows(inserted);
+    return outer_->Open();
+  }
   // Blocking build phase.
+  owned_rows_.clear();
   XPRS_RETURN_IF_ERROR(inner_->Open());
   for (;;) {
     Tuple tuple;
     bool eof;
     XPRS_RETURN_IF_ERROR(inner_->Next(&tuple, &eof));
     if (eof) break;
-    int32_t key;
-    if (!GetKey(tuple, right_key_, &key)) continue;
-    table_.emplace(key, std::move(tuple));
-    ++build_rows_;
+    if (IsNull(tuple.value(right_key_))) continue;  // joins nothing
+    owned_rows_.push_back(std::move(tuple));
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
-  ProfBuildRows(build_rows_);
+  owned_table_.Build(owned_rows_, right_key_);
+  ProfBuildRows(owned_table_.size());
+  table_ = &owned_table_;
+  rows_ = &owned_rows_;
   return outer_->Open();
 }
 
 Status HashJoinOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
-    if (probing_ && match_ != match_end_) {
-      *out = Tuple::Concat(outer_tuple_, match_->second);
-      ++match_;
-      return Status::OK();
+    while (entry_ < entry_end_) {
+      const uint32_t entry = entry_++;
+      if (table_->key(entry) == probe_key_) {
+        *out = Tuple::Concat(outer_tuple_, (*rows_)[table_->row(entry)]);
+        return Status::OK();
+      }
     }
-    probing_ = false;
     bool outer_eof;
     XPRS_RETURN_IF_ERROR(outer_->Next(&outer_tuple_, &outer_eof));
     if (outer_eof) {
       *eof = true;
       return Status::OK();
     }
-    int32_t key;
-    if (!GetKey(outer_tuple_, left_key_, &key)) continue;
-    auto [lo, hi] = table_.equal_range(key);
-    match_ = lo;
-    match_end_ = hi;
-    probing_ = true;
+    if (!GetKey(outer_tuple_, left_key_, &probe_key_)) continue;
+    std::tie(entry_, entry_end_) = table_->Bucket(probe_key_);
   }
 }
 
 Status HashJoinOp::Close() {
-  table_.clear();
+  owned_rows_.clear();
+  owned_table_.Clear();
+  entry_ = entry_end_ = 0;
   return outer_->Close();
 }
 
@@ -579,6 +649,18 @@ Status SortOp::Next(Tuple* out, bool* eof) {
 Status SortOp::Close() {
   rows_.clear();
   return Status::OK();
+}
+
+// ------------------------------------------------------------- TempResult
+
+const JoinHashTable& TempResult::JoinIndex(size_t key,
+                                           size_t* inserted) const {
+  *inserted = 0;
+  std::call_once(index_->built, [&] {
+    index_->table.Build(tuples, key);
+    *inserted = index_->table.size();
+  });
+  return index_->table;
 }
 
 // ------------------------------------------------------------- TempSource

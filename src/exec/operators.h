@@ -8,9 +8,10 @@
 #define XPRS_EXEC_OPERATORS_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/expr.h"
@@ -211,31 +212,69 @@ class NestLoopJoinOp : public Operator {
   bool inner_open_ = false;
 };
 
-/// Hash join: builds an in-memory table from the inner (right) input on
-/// Open — a blocking edge — then pipelines the outer probe side.
+/// A hash join's build side: the join keys and the positions of their rows
+/// in flat arrays grouped by hash bucket (a key/value column layout), over
+/// rows the table does not hold. Read-only once built, so any number of
+/// probers can share one.
+class JoinHashTable {
+ public:
+  /// Indexes the rows of `rows` whose column `key` is not NULL, in row
+  /// order, replacing any previous contents.
+  void Build(const std::vector<Tuple>& rows, size_t key);
+  void Clear();
+
+  /// Indexed rows.
+  size_t size() const { return keys_.size(); }
+
+  /// The entries [first, second) of `key`'s bucket: entry e matches when
+  /// key(e) == key.
+  std::pair<uint32_t, uint32_t> Bucket(int32_t key) const;
+  int32_t key(uint32_t entry) const { return keys_[entry]; }
+  /// Position of the entry's row in the indexed rows.
+  uint32_t row(uint32_t entry) const { return rows_[entry]; }
+
+ private:
+  uint32_t BucketOf(int32_t key) const;
+
+  int bits_ = 0;                        // log2 of the bucket count
+  std::vector<uint32_t> bucket_start_;  // bucket b: [start[b], start[b+1])
+  std::vector<int32_t> keys_;
+  std::vector<uint32_t> rows_;
+};
+
+struct TempResult;
+
+/// Hash join: a blocking build of the inner (right) input into a
+/// JoinHashTable, then a pipelined probe by the outer side. The serial form
+/// drains the inner operator on Open and owns the rows; the fragment form
+/// probes a materialized fragment input through the index that input
+/// shares with every other prober (TempResult::JoinIndex).
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
+             size_t left_key, size_t right_key);
+  HashJoinOp(std::unique_ptr<Operator> outer, const TempResult* build,
              size_t left_key, size_t right_key);
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   const Schema& schema() const override { return schema_; }
 
-  size_t build_rows() const { return build_rows_; }
-
  private:
   Status OpenImpl();
 
   std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;
+  std::unique_ptr<Operator> inner_;  // serial form only
+  const TempResult* const build_;    // fragment form only
   const size_t left_key_, right_key_;
   Schema schema_;
-  std::unordered_multimap<int32_t, Tuple> table_;
-  size_t build_rows_ = 0;
+  std::vector<Tuple> owned_rows_;    // serial form: the build rows
+  JoinHashTable owned_table_;        // serial form: their index
+  const std::vector<Tuple>* rows_ = nullptr;
+  const JoinHashTable* table_ = nullptr;
   Tuple outer_tuple_;
-  std::unordered_multimap<int32_t, Tuple>::const_iterator match_, match_end_;
-  bool probing_ = false;
+  int32_t probe_key_ = 0;
+  uint32_t entry_ = 0, entry_end_ = 0;  // unvisited part of the bucket
 };
 
 /// Merge join over two inputs sorted on their keys; buffers one inner key
@@ -319,6 +358,21 @@ class SortOp : public Operator {
 struct TempResult {
   Schema schema;
   std::vector<Tuple> tuples;
+
+  /// `tuples` indexed on column `key` for the hash join that builds on
+  /// this result. The first call builds the index and sets *inserted to
+  /// the rows it indexed; every later call, from any thread, waits for
+  /// that build and gets the same table with *inserted = 0. So the slaves
+  /// of the consuming fragment, its retries and its serial fallback all
+  /// probe one table, built once.
+  const JoinHashTable& JoinIndex(size_t key, size_t* inserted) const;
+
+ private:
+  struct Index {
+    std::once_flag built;
+    JoinHashTable table;
+  };
+  std::unique_ptr<Index> index_ = std::make_unique<Index>();
 };
 
 /// Source over a materialized intermediate (fragment input).

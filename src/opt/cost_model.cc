@@ -132,6 +132,13 @@ PlanEstimate CostModel::EstimateNode(const PlanNode& plan,
                      inner.rows * params_.hash_tuple_time +
                      outer.rows * params_.hash_tuple_time +
                      est.rows * params_.tuple_cpu_time;
+      // The build side is a blocking edge: its rows are materialized
+      // before the probe starts. A fragment estimate already charges that
+      // (its blocked input costs temp_tuple_time per row, above); the
+      // whole-plan estimate the enumerator ranks by charges it here, so
+      // the smaller input is the cheaper build side. Fragment profiles do
+      // not change.
+      if (frag == nullptr) est.seq_time += inner.rows * params_.temp_tuple_time;
       est.ios = outer.ios + inner.ios;
       est.row_bytes = outer.row_bytes + inner.row_bytes;
       // §5 extension: build side larger than the memory budget spills —

@@ -8,10 +8,13 @@
 //   - unclustered index scan   -> range partitioning (AdjustableRangeScan)
 //   - materialized input       -> page partitioning over tuple batches
 //
-// Every slave runs its own copy of the pipeline; the pipelines share the
-// partition state, the buffer pool and the disk array (shared memory).
-// Worker outputs are concatenated; fragments rooted at a Sort re-sort the
-// concatenation so the fragment's contract (sorted output) holds.
+// Every slave runs its own copy of the pipeline's operators; the copies
+// share the partition state, the buffer pool, the disk array and the hash
+// tables of the fragment's hash joins (shared memory): each build input is
+// indexed once, by the first slave to open its join, and every slave
+// probes that one table read-only (TempResult::JoinIndex). Worker outputs
+// are concatenated; fragments rooted at a Sort re-sort the concatenation so
+// the fragment's contract (sorted output) holds.
 
 #ifndef XPRS_PARALLEL_FRAGMENT_RUN_H_
 #define XPRS_PARALLEL_FRAGMENT_RUN_H_
@@ -35,7 +38,8 @@ class ParallelFragmentRun {
  public:
   struct Options {
     int initial_parallelism = 1;
-    /// Largest parallelism an adjustment may set.
+    /// Largest parallelism an adjustment may set (the master passes its
+    /// grant).
     int max_slots = 16;
     ExecContext ctx;
   };

@@ -33,6 +33,7 @@ ParallelMaster::ParallelMaster(const MachineConfig& machine,
                                const MasterOptions& options)
     : machine_(machine), model_(model), options_(options) {
   XPRS_CHECK(model != nullptr);
+  XPRS_CHECK_GE(options.max_slots, 1);
 }
 
 double ParallelMaster::Now() const {
@@ -59,7 +60,7 @@ void ParallelMaster::LaunchRun(TaskId id, int parallelism, bool notify) {
 
   ParallelFragmentRun::Options run_options;
   run_options.initial_parallelism = parallelism;
-  run_options.max_slots = std::max(options_.max_slots, parallelism);
+  run_options.max_slots = options_.max_slots;
   run_options.ctx = options_.ctx;
 
   task.run = std::make_unique<ParallelFragmentRun>(
@@ -82,7 +83,7 @@ void ParallelMaster::StartTask(TaskId id, double parallelism) {
   XPRS_CHECK(task.run == nullptr);
   QueryState& query = queries_[task.query_index];
 
-  task.parallelism = std::max(1, static_cast<int>(std::llround(parallelism)));
+  task.parallelism = ClampToGrant(parallelism);
   task.failures = 0;
   if (options_.obs.tracing()) {
     options_.obs.Emit(
@@ -104,7 +105,7 @@ void ParallelMaster::StartTask(TaskId id, double parallelism) {
 void ParallelMaster::AdjustParallelism(TaskId id, double parallelism) {
   TaskState& task = tasks_.at(id);
   XPRS_CHECK(task.run != nullptr);
-  const int target = std::max(1, static_cast<int>(std::llround(parallelism)));
+  const int target = ClampToGrant(parallelism);
   task.parallelism = target;  // retries re-dispatch at the adjusted degree
   task.run->Adjust(target);
   if (options_.obs.tracing()) {
@@ -117,6 +118,11 @@ void ParallelMaster::AdjustParallelism(TaskId id, double parallelism) {
                  queries_[task.query_index].graph.fragment(task.frag_id).root,
                  AdjustmentEvent::Kind::kAdjust, Now(), task.frag_id, id,
                  target);
+}
+
+int ParallelMaster::ClampToGrant(double parallelism) const {
+  return std::clamp(static_cast<int>(std::llround(parallelism)), 1,
+                    options_.max_slots);
 }
 
 double ParallelMaster::RemainingSeqTime(TaskId id) const {
@@ -157,7 +163,11 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
     queries_.push_back(std::move(qs));
   }
 
-  AdaptiveScheduler scheduler(machine_, options_.sched);
+  // The scheduler plans over the granted processors only, so none of its
+  // starts or adjustments exceeds the grant.
+  MachineConfig granted = machine_;
+  granted.num_cpus = std::min(machine_.num_cpus, options_.max_slots);
+  AdaptiveScheduler scheduler(granted, options_.sched);
   scheduler.Bind(this);
   scheduler.SetObservability(options_.obs);
   start_ = std::chrono::steady_clock::now();

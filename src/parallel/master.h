@@ -8,10 +8,11 @@
 // the running fragment, and fragment completions feed back into the
 // scheduler, which re-pairs and re-balances.
 //
-// On this container (a single hardware core) the wall-clock numbers carry
-// no performance meaning — the fluid simulator is the performance
-// substrate (DESIGN.md) — but the full control loop, including dynamic
-// adjustment under concurrency, is exercised for real.
+// The master's grant (MasterOptions::max_slots) is a ceiling: the scheduler
+// plans over min(num_cpus, max_slots) processors, and every start,
+// adjustment and retry is clamped to max_slots, so a fragment never runs
+// more slaves than the grant — a task at parallelism x uses x processors
+// (§2.2).
 
 #ifndef XPRS_PARALLEL_MASTER_H_
 #define XPRS_PARALLEL_MASTER_H_
@@ -59,7 +60,9 @@ struct MasterRunResult {
 struct MasterOptions {
   SchedulerOptions sched;
   ExecContext ctx;
-  /// Upper bound on slave slots per fragment run.
+  /// The grant: no fragment ever runs more slaves than this. The
+  /// scheduler plans over min(machine num_cpus, max_slots) processors and
+  /// the master clamps every start, adjustment and retry to it. >= 1.
   int max_slots = 16;
   /// Trace/metrics publishing for the run (fragment spans, adjustment
   /// events); also handed to the internal scheduler. Optional.
@@ -117,6 +120,8 @@ class ParallelMaster : public ExecutionEnv {
   /// Task ids are query_index * kTaskIdStride + fragment id.
   static constexpr TaskId kTaskIdStride = 1000;
 
+  /// Rounds a scheduler-commanded parallelism into [1, max_slots].
+  int ClampToGrant(double parallelism) const;
   /// Materialized inputs from the task's completed dependency fragments.
   std::map<int, const TempResult*> GatherInputs(const TaskState& task);
   /// (Re-)creates and starts the task's ParallelFragmentRun at

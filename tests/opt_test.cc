@@ -202,6 +202,49 @@ TEST_F(OptTest, BestPlanExecutesCorrectly) {
   EXPECT_EQ(canon(*got), canon(*want));
 }
 
+TEST_F(OptTest, HashJoinBuildsOnTheSmallerInput) {
+  // The whole-plan estimate charges a hash join's build input for being
+  // materialized, so the enumerator builds on the input with fewer
+  // estimated rows, whichever order FROM lists the inputs in.
+  JoinEnumerator enumerator(&model_);
+  const Predicate kAll;
+  const Predicate kFew = Predicate::Between(0, 0, 30);
+  struct Input {
+    Table* table;
+    Predicate pred;
+  };
+  const std::vector<std::pair<Input, Input>> pairs = {
+      {{a_, kAll}, {b_, kAll}},
+      {{a_, kAll}, {c_, kAll}},
+      {{b_, kAll}, {c_, kAll}},
+      {{a_, kAll}, {a_, kFew}},
+      {{a_, kFew}, {c_, kAll}},
+  };
+  for (const auto& [x, y] : pairs) {
+    for (bool swap : {false, true}) {
+      const Input& first = swap ? y : x;
+      const Input& second = swap ? x : y;
+      QuerySpec q;
+      q.relations = {{first.table, first.pred}, {second.table, second.pred}};
+      q.joins = {{0, 0, 1, 0}};
+      for (TreeShape shape : {TreeShape::kLeftDeep, TreeShape::kBushy}) {
+        auto best = enumerator.BestPlan(q, shape);
+        ASSERT_TRUE(best.ok()) << best.status().ToString();
+        const PlanNode& join = *best->plan;
+        const std::string where = StrFormat(
+            "%s(%s) x %s(%s), %s", first.table->name().c_str(),
+            first.pred.ToString().c_str(), second.table->name().c_str(),
+            second.pred.ToString().c_str(), TreeShapeName(shape));
+        ASSERT_EQ(join.kind, PlanKind::kHashJoin) << where;
+        const double build_rows = model_.Estimate(*join.right).rows;
+        const double probe_rows = model_.Estimate(*join.left).rows;
+        ASSERT_NE(build_rows, probe_rows) << where;
+        EXPECT_LT(build_rows, probe_rows) << where;
+      }
+    }
+  }
+}
+
 TEST_F(OptTest, LeftDeepPlansAreLeftDeep) {
   JoinEnumerator enumerator(&model_);
   QuerySpec q = FourWay();

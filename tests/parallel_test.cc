@@ -16,6 +16,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "parallel/fragment_run.h"
+#include "parallel/master.h"
 #include "parallel/page_partition.h"
 #include "parallel/range_partition.h"
 #include "storage/catalog.h"
@@ -351,6 +352,89 @@ TEST_F(FragmentRunTest, HashJoinPlanViaParallelFragments) {
   auto expected = ExecutePlanSequential(*plan, ctx_);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(Normalize(probe_result->tuples), Normalize(*expected));
+}
+
+// Sleeps on every page read, so a one-slave probe is still scanning when
+// the master adjusts it.
+class SlowReads : public FaultInjector {
+ public:
+  Status BeforeRead(BlockId) override {
+    SleepMs(1);
+    return Status::OK();
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+  Status BeforeFetch(BlockId) override { return Status::OK(); }
+};
+
+// Starts the probe fragment (query 0's root fragment, task 0) at one
+// slave and, once that slave is probing, adjusts it up to four: the §2.4
+// path a re-balancing scheduler takes when a partner fragment finishes.
+class MidProbeAdjustMaster : public ParallelMaster {
+ public:
+  using ParallelMaster::ParallelMaster;
+
+  void StartTask(TaskId id, double parallelism) override {
+    if (id != 0) return ParallelMaster::StartTask(id, parallelism);
+    ParallelMaster::StartTask(id, 1);
+    const double unstarted = RemainingSeqTime(id);
+    while (RemainingSeqTime(id) == unstarted) std::this_thread::yield();
+    AdjustParallelism(id, 4);
+  }
+};
+
+uint64_t BuildRows(const QueryProfile& profile) {
+  uint64_t rows = 0;
+  for (const auto& op : profile.operators()) rows += op->build_rows.load();
+  return rows;
+}
+
+TEST_F(FragmentRunTest, MasterBuildsEachHashTableOnce) {
+  // The build fragment's output is indexed once, and every slave of the
+  // probe fragment probes that one table. So at 4 slots the profile counts
+  // each build row once, as the serial run does, also when the probe gains
+  // slaves mid-run.
+  auto plan = MakeHashJoin(MakeSeqScan(r_, Predicate()),
+                           MakeSeqScan(s_, Predicate()), 0, 0);
+  QueryProfile serial_profile(plan.get());
+  ExecContext serial_ctx = ctx_;
+  serial_ctx.profile = &serial_profile;
+  auto serial = ExecutePlanSequential(*plan, serial_ctx);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(BuildRows(serial_profile), 400u);
+
+  const CostModel model;
+  SlowReads slow_reads;
+  for (bool adjust : {false, true}) {
+    SCOPED_TRACE(adjust ? "mid-probe adjust" : "no adjust");
+    QueryProfile profile(plan.get());
+    MasterOptions options;
+    options.max_slots = 4;
+    options.ctx = ctx_;
+    options.ctx.profile = &profile;
+    std::unique_ptr<ParallelMaster> master;
+    if (adjust) {
+      master = std::make_unique<MidProbeAdjustMaster>(
+          MachineConfig::PaperConfig(), &model, options);
+      array_->SetFaultInjector(&slow_reads);
+    } else {
+      master = std::make_unique<ParallelMaster>(MachineConfig::PaperConfig(),
+                                                &model, options);
+    }
+    auto run = master->Run({{plan.get(), /*query_id=*/0}});
+    array_->SetFaultInjector(nullptr);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    EXPECT_EQ(Normalize(run->query_results.at(0)), Normalize(*serial));
+    EXPECT_EQ(BuildRows(profile), BuildRows(serial_profile));
+    bool saw_probe = false;
+    for (const FragmentStats& frag : profile.fragments()) {
+      if (frag.frag_id != 0) continue;  // the build fragment
+      saw_probe = true;
+      EXPECT_GT(frag.slaves_spawned, 1) << "the probe never ran parallel";
+      if (adjust) EXPECT_GE(frag.adjustments, 1);
+    }
+    EXPECT_TRUE(saw_probe);
+  }
 }
 
 TEST_F(FragmentRunTest, TempDrivenFragmentPartitionsBatches) {

@@ -71,18 +71,18 @@ TEST_F(ProfileTest, GoldenExplainAnalyzeText) {
   options.include_times = false;
   options.include_parallel = false;
   const std::string expected =
-      "Aggregate(count(col2))"
-      "  (est rows=1 ios=2 seq=0.282s)"
+      "Aggregate(count(col0))"
+      "  (est rows=1 ios=2 seq=0.283s)"
       "  (actual rows=1 pages=0)\n"
       "  HashJoin(l.col0 = r.col0)"
-      "  (est rows=10 ios=2 seq=0.280s)"
-      "  (actual rows=30 pages=0 build=300)\n"
-      "    SeqScan(custs, col0 < 10)"
-      "  (est rows=10 ios=1 seq=0.060s)"
-      "  (actual rows=10 pages=1 evals=100)\n"
+      "  (est rows=10 ios=2 seq=0.281s)"
+      "  (actual rows=30 pages=0 build=10)\n"
       "    SeqScan(orders, TRUE)"
       "  (est rows=300 ios=1 seq=0.153s)"
-      "  (actual rows=300 pages=1 evals=300)\n";
+      "  (actual rows=300 pages=1 evals=300)\n"
+      "    SeqScan(custs, col0 < 10)"
+      "  (est rows=10 ios=1 seq=0.060s)"
+      "  (actual rows=10 pages=1 evals=100)\n";
   EXPECT_EQ(r->profile->ToText(options), expected);
 }
 

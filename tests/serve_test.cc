@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "serve/query_scheduler.h"
 #include "serve/serving_engine.h"
 #include "testing/differential.h"
@@ -377,6 +378,90 @@ TEST_F(ServingEngineTest, ConcurrentMixedQueriesMatchSerialOracle) {
   EXPECT_TRUE(engine->Drain().ok());
   EXPECT_GE(engine->scheduler().peak_running(), 2)
       << "serving never overlapped two queries";
+}
+
+// Records how many threads are inside a page read at once. Every slave of
+// a parallel fragment reads pages, so the peak counts slaves running
+// together; the sleep keeps each one in the probe long enough to overlap.
+class ConcurrentReadProbe : public FaultInjector {
+ public:
+  Status BeforeRead(BlockId) override {
+    const int now = in_flight_.fetch_add(1) + 1;
+    int peak = peak_.load();
+    while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    in_flight_.fetch_sub(1);
+    return Status::OK();
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+  Status BeforeFetch(BlockId) override { return Status::OK(); }
+
+  int peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_{0};
+};
+
+TEST_F(ServingEngineTest, GrantIsACeilingOnSlaves) {
+  // A table of ~100 pages, so a fragment has granules for many slaves.
+  Table* wide = catalog_->CreateTable("wide", Schema::PaperSchema()).value();
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(wide->file()
+                    .Append(Tuple({Value(int32_t{i % 100}),
+                                   Value(std::string(1800, 'w'))}))
+                    .ok());
+  }
+  ASSERT_TRUE(wide->file().Flush().ok());
+  ASSERT_TRUE(wide->ComputeStats().ok());
+
+  // The scheduler's machine has kGrant processors, the engine's has 8: the
+  // served statements are granted kGrant slots on a host with more CPUs.
+  constexpr int kGrant = 2;
+  MemoryTraceRecorder trace;
+  ServingEngine::Options options;
+  options.serve.machine = MachineConfig::PaperConfig();
+  options.serve.machine.num_cpus = kGrant;
+  options.serve.obs.trace = &trace;
+  auto engine = MakeEngine(std::move(options));
+  ASSERT_GT(MachineConfig::PaperConfig().num_cpus, kGrant);
+
+  ConcurrentReadProbe probe;
+  array_->SetFaultInjector(&probe);
+  auto session = engine->OpenSession();
+  for (const char* sql :
+       {"SELECT count(a) FROM wide",
+        "SELECT w.a, c.b FROM wide w, custs c WHERE w.a = c.a"}) {
+    auto expected = oracle_->Execute(sql);
+    ASSERT_TRUE(expected.ok()) << sql;
+    auto served = session->Execute(sql);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status().ToString();
+    EXPECT_EQ(Canon(served->rows), Canon(expected->rows)) << sql;
+  }
+  array_->SetFaultInjector(nullptr);
+  engine->CloseSession(session);
+  ASSERT_TRUE(engine->Drain().ok());
+
+  EXPECT_LE(probe.peak(), kGrant) << "more slaves ran than were granted";
+  int grants = 0;
+  int decisions = 0;
+  for (const TraceEvent& event : trace.snapshot()) {
+    double parallelism = 0.0;
+    for (const auto& [key, value] : event.args)
+      if (key == "parallelism") parallelism = value.num;
+    if (event.category == "serve" && event.name == "grant") {
+      ++grants;
+      EXPECT_EQ(parallelism, kGrant);
+    } else if (event.category == "sched" &&
+               (event.name == "decide start" ||
+                event.name == "decide adjust")) {
+      ++decisions;
+      EXPECT_LE(parallelism, kGrant) << "scheduler decided above the grant";
+    }
+  }
+  EXPECT_EQ(grants, 2);
+  EXPECT_GE(decisions, 3) << "the statements did not run on the master";
 }
 
 TEST_F(ServingEngineTest, ZeroPinnedFramesAndZeroSessionsAfterDrain) {

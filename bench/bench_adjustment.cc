@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "bench_obs.h"
-#include "parallel/page_partition.h"
-#include "parallel/range_partition.h"
+#include "exec/page_partition.h"
+#include "exec/range_partition.h"
 #include "sched/scheduler.h"
 #include "sim/fluid_sim.h"
 #include "util/stats.h"

@@ -13,6 +13,7 @@
 //      memory-oblivious plans forced to spill.
 
 #include <cstdio>
+#include <functional>
 
 #include "bench_obs.h"
 #include "opt/two_phase.h"

@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_obs.h"
 #include "storage/disk_array.h"
 #include "testing/differential.h"
 #include "testing/query_gen.h"
@@ -47,13 +48,6 @@
 #include "workload/relations.h"
 
 namespace {
-
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
 
 // Per-call watchdog: Beat() before each oracle call; if any call then runs
 // past the timeout, print the replay seed and abort. Disabled when
@@ -145,17 +139,14 @@ int main(int argc, char** argv) {
   std::string replay_out;
 
   for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (ParseFlag(argv[i], "--seed", &value)) {
-      seed = std::strtoull(value, nullptr, 0);
-    } else if (ParseFlag(argv[i], "--iters", &value)) {
-      iters = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--fault-rate", &value)) {
-      fault_rate = std::atof(value);
-    } else if (ParseFlag(argv[i], "--timeout-ms", &value)) {
-      timeout_ms = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--replay-out", &value)) {
-      replay_out = value;
+    std::string seed_flag;
+    if (xprs::BenchFlagString(argv[i], "--seed=", &seed_flag)) {
+      seed = std::strtoull(seed_flag.c_str(), nullptr, 0);  // 0x... too
+    } else if (xprs::BenchFlagInt(argv[i], "--iters=", &iters) ||
+               xprs::BenchFlagDouble(argv[i], "--fault-rate=", &fault_rate) ||
+               xprs::BenchFlagInt(argv[i], "--timeout-ms=", &timeout_ms) ||
+               xprs::BenchFlagString(argv[i], "--replay-out=", &replay_out)) {
+      continue;
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
     } else {

@@ -17,25 +17,14 @@ uint32_t BatchTarget(const ExecContext& ctx) {
 
 // ----------------------------------------------------------- BatchSeqScan
 
-BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx,
-                               int num_partitions, int partition_index)
-    : table_(table),
-      ctx_(ctx),
-      num_partitions_(num_partitions),
-      partition_index_(partition_index) {
+BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx)
+    : table_(table), ctx_(ctx) {
   XPRS_CHECK(table != nullptr);
-  XPRS_CHECK_GE(num_partitions, 1);
-  XPRS_CHECK_GE(partition_index, 0);
-  XPRS_CHECK_LT(partition_index, num_partitions);
 }
 
 Status BatchSeqScanOp::Open() {
   next_page_ = 0;
   pages_read_ = 0;
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
   if (owns_node_stats_) ProfOpen();
   return Status::OK();
 }
@@ -69,7 +58,7 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
       XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
-    next_page_ += num_partitions_;
+    ++next_page_;
   }
   if (out->size() == 0) {
     *eof = true;
@@ -429,23 +418,20 @@ Status VectorizedAdapterOp::Next(Tuple* out, bool* eof) {
 
 namespace {
 
-bool HookLeaf(const PlanNode& node, bool partition_leftmost,
-              const BatchLeafHooks* hooks) {
-  return hooks != nullptr && hooks->is_leaf &&
-         hooks->is_leaf(&node, partition_leftmost);
+bool HookLeaf(const PlanNode& node, const BatchLeafHooks* hooks) {
+  return hooks != nullptr && hooks->is_leaf && hooks->is_leaf(&node);
 }
 
 }  // namespace
 
 bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         bool partition_leftmost,
                          const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, partition_leftmost, hooks)) return true;
+  if (HookLeaf(node, hooks)) return true;
   switch (node.kind) {
     case PlanKind::kSeqScan:
       return true;
     case PlanKind::kAggregate:
-      return VectorizableSubtree(*node.left, ctx, partition_leftmost, hooks);
+      return VectorizableSubtree(*node.left, ctx, hooks);
     case PlanKind::kHashJoin: {
       // Spill-configured contexts use GraceHashJoinOp; stay on the tuple
       // path so memory bounds keep holding.
@@ -459,8 +445,8 @@ bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
           node.right_key >= rs.num_columns() ||
           rs.column(node.right_key).type != TypeId::kInt4)
         return false;
-      return VectorizableSubtree(*node.left, ctx, partition_leftmost, hooks) &&
-             VectorizableSubtree(*node.right, ctx, false, hooks);
+      return VectorizableSubtree(*node.left, ctx, hooks) &&
+             VectorizableSubtree(*node.right, ctx, hooks);
     }
     default:
       return false;
@@ -468,20 +454,14 @@ bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
 }
 
 StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
+    const PlanNode& node, const ExecContext& ctx,
     const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, partition_leftmost, hooks)) {
-    // Foreign leaves re-emit another node's (already profiled) output.
-    return hooks->make(&node, partition_leftmost);
-  }
+  if (HookLeaf(node, hooks)) return hooks->make(&node);
   OperatorStats* stats =
       ctx.profile != nullptr ? ctx.profile->StatsFor(&node) : nullptr;
   switch (node.kind) {
     case PlanKind::kSeqScan: {
-      const int n = partition_leftmost ? num_partitions : 1;
-      const int i = partition_leftmost ? partition_index : 0;
-      auto scan = std::make_unique<BatchSeqScanOp>(node.table, ctx, n, i);
+      auto scan = std::make_unique<BatchSeqScanOp>(node.table, ctx);
       scan->set_profile_stats(stats);
       if (node.predicate.IsTrue())
         return std::unique_ptr<BatchOperator>(std::move(scan));
@@ -494,10 +474,8 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
       return std::unique_ptr<BatchOperator>(std::move(filter));
     }
     case PlanKind::kAggregate: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchOperator> child,
-          BuildBatchTree(*node.left, ctx, num_partitions, partition_index,
-                         partition_leftmost, hooks));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> child,
+                            BuildBatchTree(*node.left, ctx, hooks));
       // The aggregate reads only its agg / group columns: prune the rest
       // out of the child pipeline (scans skip the decode, joins skip the
       // copy). The root of a pipeline is never pruned, so results at the
@@ -513,13 +491,10 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
       return std::unique_ptr<BatchOperator>(std::move(op));
     }
     case PlanKind::kHashJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchOperator> outer,
-          BuildBatchTree(*node.left, ctx, num_partitions, partition_index,
-                         partition_leftmost, hooks));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> outer,
+                            BuildBatchTree(*node.left, ctx, hooks));
       XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> inner,
-                            BuildBatchTree(*node.right, ctx, 1, 0, false,
-                                           hooks));
+                            BuildBatchTree(*node.right, ctx, hooks));
       auto op = std::make_unique<BatchHashJoinOp>(std::move(outer),
                                                   std::move(inner),
                                                   node.left_key,
@@ -533,13 +508,10 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
 }
 
 StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
+    const PlanNode& node, const ExecContext& ctx,
     const BatchLeafHooks* hooks) {
-  XPRS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchOperator> root,
-      BuildBatchTree(node, ctx, num_partitions, partition_index,
-                     partition_leftmost, hooks));
+  XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> root,
+                        BuildBatchTree(node, ctx, hooks));
   // The adapter is the subtree's outermost cancellation point; it is not
   // profiled (the batch operators own their nodes' stats).
   return std::unique_ptr<Operator>(

@@ -15,8 +15,9 @@
 // operators — stays tuple-at-a-time; BuildVectorizedTree bridges a batch
 // subtree into those consumers (and into fragments, the parallel master
 // and Drain) through a VectorizedAdapterOp, while BatchFromTupleOp makes
-// foreign tuple sources (materialized fragment inputs, dynamically driven
-// scan leaves) look like batch sources inside a vectorized subtree.
+// foreign tuple sources (materialized fragment inputs, and the driving
+// scan of a parallel slave, which reads its slot of a shared partition)
+// look like batch sources inside a vectorized subtree.
 
 #ifndef XPRS_EXEC_BATCH_OPS_H_
 #define XPRS_EXEC_BATCH_OPS_H_
@@ -89,15 +90,13 @@ class BatchOperator {
   OperatorStats* prof_ = nullptr;
 };
 
-/// Batched sequential scan: decodes whole heap pages straight into columns
-/// (no per-tuple Tuple/Value materialization) until the batch reaches
-/// ctx.batch_rows. Supports the same static page partitioning as SeqScanOp
-/// and polls ctx.cancel once per page. Pins are held one page at a time —
-/// never across NextBatch calls.
+/// Batched sequential scan of a whole heap file: decodes whole pages
+/// straight into columns (no per-tuple Tuple/Value materialization) until
+/// the batch reaches ctx.batch_rows, and polls ctx.cancel once per page.
+/// Pins are held one page at a time — never across NextBatch calls.
 class BatchSeqScanOp : public BatchOperator {
  public:
-  BatchSeqScanOp(Table* table, ExecContext ctx, int num_partitions = 1,
-                 int partition_index = 0);
+  BatchSeqScanOp(Table* table, ExecContext ctx);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
@@ -118,8 +117,6 @@ class BatchSeqScanOp : public BatchOperator {
  private:
   Table* const table_;
   const ExecContext ctx_;
-  const int num_partitions_;
-  const int partition_index_;
 
   uint32_t next_page_ = 0;
   uint64_t pages_read_ = 0;
@@ -161,8 +158,6 @@ class BatchHashJoinOp : public BatchOperator {
   Status NextBatch(ColumnBatch* out, bool* eof) override;
   Status Close() override;
   const Schema& schema() const override { return schema_; }
-
-  size_t build_rows() const { return build_.size(); }
 
   /// Emits only the needed columns of each match row; children are asked
   /// for the needed slice plus their join key.
@@ -216,9 +211,10 @@ class BatchAggregateOp : public BatchOperator {
   uint32_t pos_ = 0;
 };
 
-/// Bridges a tuple operator into a batch subtree (fragment temp sources,
-/// dynamically driven scan leaves): pulls up to `batch_rows` tuples per
-/// NextBatch. Not profiled — foreign leaves re-emit another node's output.
+/// Bridges a tuple operator into a batch subtree (fragment temp sources, a
+/// slave's driving scan): pulls up to `batch_rows` tuples per NextBatch.
+/// Not profiled — a bridged scan counts its own node's stats, and a temp
+/// source re-emits rows its producing fragment counted.
 class BatchFromTupleOp : public BatchOperator {
  public:
   BatchFromTupleOp(std::unique_ptr<Operator> child, size_t batch_rows);
@@ -259,13 +255,12 @@ class VectorizedAdapterOp : public Operator {
 
 /// Foreign-leaf hooks for the fragment builder: substitute batch sources
 /// for plan nodes a vectorized subtree cannot build itself (blocked
-/// fragment inputs, the dynamically driven leaf). `partition_leftmost` is
-/// true only along the spine from the subtree root to its left-most leaf.
+/// fragment inputs, a slave's driving leaf).
 struct BatchLeafHooks {
   /// True when `make` would substitute this node.
-  std::function<bool(const PlanNode* node, bool partition_leftmost)> is_leaf;
+  std::function<bool(const PlanNode* node)> is_leaf;
   std::function<StatusOr<std::unique_ptr<BatchOperator>>(
-      const PlanNode* node, bool partition_leftmost)>
+      const PlanNode* node)>
       make;
 };
 
@@ -274,22 +269,17 @@ struct BatchLeafHooks {
 /// GraceHashJoinOp when spilling is configured) plus hook-substituted
 /// leaves. `hooks` may be null.
 bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         bool partition_leftmost,
                          const BatchLeafHooks* hooks);
 
 /// Builds the batch pipeline for a vectorizable subtree, binding each
 /// node's stats when ctx.profile is set. Callers must have checked
 /// VectorizableSubtree.
 StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks);
+    const PlanNode& node, const ExecContext& ctx, const BatchLeafHooks* hooks);
 
 /// BuildBatchTree bridged into the tuple protocol via VectorizedAdapterOp.
 StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks);
+    const PlanNode& node, const ExecContext& ctx, const BatchLeafHooks* hooks);
 
 }  // namespace xprs
 

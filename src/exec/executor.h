@@ -1,4 +1,5 @@
-// Plan-to-operator-tree builder and the sequential reference executor.
+// The sequential reference executor (plans build through
+// BuildOperatorTree, exec/fragment.h).
 
 #ifndef XPRS_EXEC_EXECUTOR_H_
 #define XPRS_EXEC_EXECUTOR_H_
@@ -6,18 +7,11 @@
 #include <memory>
 #include <vector>
 
+#include "exec/fragment.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
 
 namespace xprs {
-
-/// Builds a complete operator tree for a plan (no fragment boundaries —
-/// blocking operators like Sort and the hash-join build run inline).
-/// `num_partitions`/`partition_index` statically page-partition the
-/// *left-most* scan of the tree; inner/build scans are executed in full.
-StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(
-    const PlanNode& plan, const ExecContext& ctx, int num_partitions = 1,
-    int partition_index = 0);
 
 /// Convenience: build + drain. The trusted reference executor tests and
 /// the parallel executor compare against.

@@ -11,13 +11,6 @@
 
 namespace xprs {
 
-std::string Fragment::ToString() const {
-  std::string deps_str = StrJoin(deps, ",");
-  return StrFormat("Fragment{%d root=%s deps=[%s] inputs=%zu}", id,
-                   PlanKindName(root->kind), deps_str.c_str(),
-                   blocked_inputs.size());
-}
-
 int FragmentGraph::NewFragment(const PlanNode* root) {
   Fragment f;
   f.id = static_cast<int>(fragments_.size());
@@ -99,15 +92,6 @@ std::vector<int> FragmentGraph::TopologicalOrder() const {
   }
   XPRS_CHECK_EQ(order.size(), fragments_.size());
   return order;
-}
-
-std::string FragmentGraph::ToString() const {
-  std::string out;
-  for (const auto& f : fragments_) {
-    out += f.ToString();
-    out += '\n';
-  }
-  return out;
 }
 
 namespace {
@@ -197,203 +181,7 @@ Status ValidateFragmentGraph(const FragmentGraph& graph,
   return Status::OK();
 }
 
-namespace {
-
-// The materialized output feeding blocked input `node` of `frag`.
-StatusOr<const TempResult*> BlockedInput(
-    const Fragment& frag, const PlanNode* node,
-    const std::map<int, const TempResult*>& inputs) {
-  const int producer = frag.blocked_inputs.at(node);
-  auto temp = inputs.find(producer);
-  if (temp == inputs.end() || temp->second == nullptr)
-    return Status::FailedPrecondition(
-        StrFormat("fragment %d input (fragment %d) not materialized",
-                  frag.id, producer));
-  return temp->second;
-}
-
-StatusOr<std::unique_ptr<Operator>> BuildFrag(
-    const FragmentGraph& graph, const Fragment& frag, const PlanNode* node,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index, bool partition_leftmost,
-    const DrivingLeafFactory* factory) {
-  // A blocked input is replaced by a source over the producing fragment's
-  // materialized output (or by the driving factory if it is the driving
-  // leaf). Neither is profiled: a temp source re-emits another fragment's
-  // output (profiling it would double-count the producing node), and the
-  // factory's driven ops are bound to stats by the parallel layer.
-  auto blocked = frag.blocked_inputs.find(node);
-  if (blocked != frag.blocked_inputs.end()) {
-    if (partition_leftmost && factory != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, (*factory)(node));
-      return MaybeCancelGuard(std::move(leaf), ctx.cancel);
-    }
-    XPRS_ASSIGN_OR_RETURN(const TempResult* temp,
-                          BlockedInput(frag, node, inputs));
-    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp), ctx.cancel);
-  }
-  if (partition_leftmost && factory != nullptr &&
-      (node->kind == PlanKind::kSeqScan ||
-       node->kind == PlanKind::kIndexScan)) {
-    XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, (*factory)(node));
-    return MaybeCancelGuard(std::move(leaf), ctx.cancel);
-  }
-
-  // Vectorized mode: compile maximal batch-capable subtrees, bridging
-  // foreign leaves (blocked fragment inputs, the dynamically driven leaf)
-  // into the batch pipeline through BatchFromTupleOp. Non-vectorizable
-  // subtrees fall through to the tuple operators below.
-  if (ctx.vectorized) {
-    BatchLeafHooks hooks;
-    hooks.is_leaf = [&frag, factory](const PlanNode* n, bool leftmost) {
-      return frag.blocked_inputs.count(n) > 0 ||
-             (leftmost && factory != nullptr &&
-              (n->kind == PlanKind::kSeqScan ||
-               n->kind == PlanKind::kIndexScan));
-    };
-    hooks.make = [&frag, &inputs, &ctx, factory](const PlanNode* n,
-                                                 bool leftmost)
-        -> StatusOr<std::unique_ptr<BatchOperator>> {
-      // Mirrors the tuple-path leaf substitution above: the driving
-      // factory serves the driving leaf, materialized producer output
-      // serves every other blocked input. Neither is profiled.
-      std::unique_ptr<Operator> leaf;
-      if (frag.blocked_inputs.count(n) > 0 &&
-          !(leftmost && factory != nullptr)) {
-        XPRS_ASSIGN_OR_RETURN(const TempResult* temp,
-                              BlockedInput(frag, n, inputs));
-        leaf = std::make_unique<TempSourceOp>(temp);
-      } else {
-        XPRS_ASSIGN_OR_RETURN(leaf, (*factory)(n));
-      }
-      return std::unique_ptr<BatchOperator>(
-          std::make_unique<BatchFromTupleOp>(
-              MaybeCancelGuard(std::move(leaf), ctx.cancel),
-              ctx.batch_rows));
-    };
-    if (VectorizableSubtree(*node, ctx, partition_leftmost, &hooks)) {
-      return BuildVectorizedTree(*node, ctx, num_partitions, partition_index,
-                                 partition_leftmost, &hooks);
-    }
-  }
-
-  std::unique_ptr<Operator> op;
-  switch (node->kind) {
-    case PlanKind::kSeqScan: {
-      int n = partition_leftmost ? num_partitions : 1;
-      int i = partition_leftmost ? partition_index : 0;
-      op = std::make_unique<SeqScanOp>(node->table, node->predicate, ctx, n,
-                                       i);
-      break;
-    }
-    case PlanKind::kIndexScan:
-      op = std::make_unique<IndexScanOp>(node->table, node->predicate,
-                                         node->index_range, ctx);
-      break;
-    case PlanKind::kSort: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> child,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      if (ctx.spill.temp_array != nullptr) {
-        op = std::make_unique<ExternalSortOp>(std::move(child),
-                                              node->sort_key, ctx.spill);
-      } else {
-        op = std::make_unique<SortOp>(std::move(child), node->sort_key);
-      }
-      break;
-    }
-    case PlanKind::kAggregate: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> child,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      op = std::make_unique<AggregateOp>(std::move(child),
-                                         node->output_schema, node->agg_func,
-                                         node->agg_col, node->group_col);
-      break;
-    }
-    case PlanKind::kNestLoopJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
-      op = std::make_unique<NestLoopJoinOp>(std::move(outer),
-                                            std::move(inner), node->left_key,
-                                            node->right_key);
-      break;
-    }
-    case PlanKind::kMergeJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
-      op = std::make_unique<MergeJoinOp>(std::move(outer), std::move(inner),
-                                         node->left_key, node->right_key);
-      break;
-    }
-    case PlanKind::kHashJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      if (ctx.spill.temp_array != nullptr) {
-        XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                              BuildFrag(graph, frag, node->right.get(),
-                                        inputs, ctx, 1, 0, false, nullptr));
-        op = std::make_unique<GraceHashJoinOp>(std::move(outer),
-                                               std::move(inner),
-                                               node->left_key,
-                                               node->right_key, ctx.spill);
-      } else {
-        // The build side is always a blocked input (Decompose cuts there),
-        // and every prober shares its materialized output's one index.
-        XPRS_ASSIGN_OR_RETURN(const TempResult* build,
-                              BlockedInput(frag, node->right.get(), inputs));
-        op = std::make_unique<HashJoinOp>(std::move(outer), build,
-                                          node->left_key, node->right_key);
-      }
-      break;
-    }
-  }
-  if (op == nullptr) return Status::Internal("unknown plan kind");
-  return MaybeCancelGuard(MaybeProfile(std::move(op), node, ctx.profile),
-                          ctx.cancel);
-}
-
-}  // namespace
-
-StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
-    const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index) {
-  const Fragment& frag = graph.fragment(frag_id);
-  return BuildFrag(graph, frag, frag.root, inputs, ctx, num_partitions,
-                   partition_index, /*partition_leftmost=*/true, nullptr);
-}
-
-StatusOr<std::unique_ptr<Operator>> BuildFragmentOperatorsWithDriver(
-    const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    const DrivingLeafFactory& factory) {
-  const Fragment& frag = graph.fragment(frag_id);
-  return BuildFrag(graph, frag, frag.root, inputs, ctx, 1, 0,
-                   /*partition_leftmost=*/true, &factory);
-}
-
-const PlanNode* DrivingLeaf(const FragmentGraph& graph, int frag_id) {
-  const Fragment& frag = graph.fragment(frag_id);
+const PlanNode* DrivingLeaf(const Fragment& frag) {
   const PlanNode* node = frag.root;
   for (;;) {
     if (frag.blocked_inputs.count(node)) return node;
@@ -407,14 +195,198 @@ const PlanNode* DrivingLeaf(const FragmentGraph& graph, int frag_id) {
   }
 }
 
-StatusOr<TempResult> ExecuteFragment(
+namespace {
+
+// Builds the operators of one fragment's pipeline, recursively from any of
+// its nodes.
+class FragmentBuilder {
+ public:
+  FragmentBuilder(const Fragment& frag,
+                  const std::map<int, const TempResult*>& inputs,
+                  const ExecContext& ctx, const DrivingSlot* driving)
+      : frag_(frag),
+        inputs_(inputs),
+        ctx_(ctx),
+        driving_(driving),
+        driving_leaf_(driving != nullptr ? DrivingLeaf(frag) : nullptr) {
+    // Vectorized subtrees take their foreign leaves as tuple sources
+    // bridged into the batch pipeline.
+    hooks_.is_leaf = [this](const PlanNode* n) { return ForeignLeaf(n); };
+    hooks_.make = [this](const PlanNode* n)
+        -> StatusOr<std::unique_ptr<BatchOperator>> {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, Leaf(n));
+      return std::unique_ptr<BatchOperator>(
+          std::make_unique<BatchFromTupleOp>(std::move(leaf),
+                                             ctx_.batch_rows));
+    };
+  }
+  // The hooks capture `this`.
+  FragmentBuilder(const FragmentBuilder&) = delete;
+  FragmentBuilder& operator=(const FragmentBuilder&) = delete;
+
+  StatusOr<std::unique_ptr<Operator>> Build(const PlanNode* node);
+
+ private:
+  bool Blocked(const PlanNode* node) const {
+    return frag_.blocked_inputs.count(node) > 0;
+  }
+  // Leaves whose source is more than the plan node: a blocked input, or
+  // the driving leaf of a slave.
+  bool ForeignLeaf(const PlanNode* node) const {
+    return Blocked(node) || node == driving_leaf_;
+  }
+  StatusOr<const TempResult*> Input(const PlanNode* node) const;
+  StatusOr<std::unique_ptr<Operator>> Leaf(const PlanNode* node);
+
+  const Fragment& frag_;
+  const std::map<int, const TempResult*>& inputs_;
+  const ExecContext& ctx_;
+  const DrivingSlot* const driving_;
+  const PlanNode* const driving_leaf_;  // null without `driving_`
+  BatchLeafHooks hooks_;
+};
+
+// The materialized output feeding blocked input `node`.
+StatusOr<const TempResult*> FragmentBuilder::Input(
+    const PlanNode* node) const {
+  const int producer = frag_.blocked_inputs.at(node);
+  auto temp = inputs_.find(producer);
+  if (temp == inputs_.end() || temp->second == nullptr)
+    return Status::FailedPrecondition(
+        StrFormat("fragment %d input (fragment %d) not materialized",
+                  frag_.id, producer));
+  return temp->second;
+}
+
+// A scan, or the source over a blocked input's materialized rows; the
+// driving leaf reads only its slot's share. A temp source is not profiled:
+// it re-emits another fragment's output, which that fragment counted.
+StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Leaf(
+    const PlanNode* node) {
+  const bool drives = node == driving_leaf_;
+  AdjustablePageScan* pages = drives ? driving_->pages : nullptr;
+  const int slot = drives ? driving_->slot : 0;
+  if (Blocked(node)) {
+    XPRS_ASSIGN_OR_RETURN(const TempResult* temp, Input(node));
+    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp, pages, slot),
+                            ctx_.cancel);
+  }
+  std::unique_ptr<Operator> op;
+  if (node->kind == PlanKind::kSeqScan) {
+    op = std::make_unique<SeqScanOp>(node->table, node->predicate, ctx_,
+                                     pages, slot);
+  } else {
+    XPRS_CHECK(node->kind == PlanKind::kIndexScan);
+    op = std::make_unique<IndexScanOp>(node->table, node->predicate,
+                                       node->index_range, ctx_,
+                                       drives ? driving_->ranges : nullptr,
+                                       slot);
+  }
+  return MaybeCancelGuard(MaybeProfile(std::move(op), node, ctx_.profile),
+                          ctx_.cancel);
+}
+
+StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Build(
+    const PlanNode* node) {
+  if (ForeignLeaf(node)) return Leaf(node);
+  // Vectorized mode: compile maximal batch-capable subtrees. Ancestors the
+  // batch path cannot run (sort, merge join, ...) fall through to the tuple
+  // operators below, and their child recursion lands back here.
+  if (ctx_.vectorized && VectorizableSubtree(*node, ctx_, &hooks_))
+    return BuildVectorizedTree(*node, ctx_, &hooks_);
+
+  std::unique_ptr<Operator> op;
+  switch (node->kind) {
+    case PlanKind::kSeqScan:
+    case PlanKind::kIndexScan:
+      return Leaf(node);
+    case PlanKind::kSort: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> child,
+                            Build(node->left.get()));
+      op = std::make_unique<ExternalSortOp>(std::move(child), node->sort_key,
+                                            ctx_.spill);
+      break;
+    }
+    case PlanKind::kAggregate: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> child,
+                            Build(node->left.get()));
+      op = std::make_unique<AggregateOp>(std::move(child),
+                                         node->output_schema, node->agg_func,
+                                         node->agg_col, node->group_col);
+      break;
+    }
+    case PlanKind::kNestLoopJoin: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer,
+                            Build(node->left.get()));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
+                            Build(node->right.get()));
+      op = std::make_unique<NestLoopJoinOp>(std::move(outer),
+                                            std::move(inner), node->left_key,
+                                            node->right_key);
+      break;
+    }
+    case PlanKind::kMergeJoin: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer,
+                            Build(node->left.get()));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
+                            Build(node->right.get()));
+      op = std::make_unique<MergeJoinOp>(std::move(outer), std::move(inner),
+                                         node->left_key, node->right_key);
+      break;
+    }
+    case PlanKind::kHashJoin: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer,
+                            Build(node->left.get()));
+      const PlanNode* build_side = node->right.get();
+      if (ctx_.spill.temp_array == nullptr && Blocked(build_side)) {
+        // Every prober of a materialized build input shares its one index.
+        XPRS_ASSIGN_OR_RETURN(const TempResult* temp, Input(build_side));
+        op = std::make_unique<HashJoinOp>(std::move(outer), temp,
+                                          node->left_key, node->right_key);
+        break;
+      }
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
+                            Build(build_side));
+      if (ctx_.spill.temp_array != nullptr) {
+        op = std::make_unique<GraceHashJoinOp>(std::move(outer),
+                                               std::move(inner),
+                                               node->left_key,
+                                               node->right_key, ctx_.spill);
+      } else {
+        op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
+                                          node->left_key, node->right_key);
+      }
+      break;
+    }
+  }
+  if (op == nullptr) return Status::Internal("unknown plan kind");
+  return MaybeCancelGuard(MaybeProfile(std::move(op), node, ctx_.profile),
+                          ctx_.cancel);
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
     const FragmentGraph& graph, int frag_id,
     const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index) {
-  XPRS_ASSIGN_OR_RETURN(
-      std::unique_ptr<Operator> root,
-      BuildFragmentOperators(graph, frag_id, inputs, ctx, num_partitions,
-                             partition_index));
+    const DrivingSlot* driving) {
+  const Fragment& frag = graph.fragment(frag_id);
+  return FragmentBuilder(frag, inputs, ctx, driving).Build(frag.root);
+}
+
+StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(const PlanNode& plan,
+                                                      const ExecContext& ctx) {
+  Fragment whole;
+  whole.root = &plan;
+  const std::map<int, const TempResult*> no_inputs;
+  return FragmentBuilder(whole, no_inputs, ctx, nullptr).Build(&plan);
+}
+
+StatusOr<TempResult> ExecuteFragment(
+    const FragmentGraph& graph, int frag_id,
+    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx) {
+  XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> root,
+                        BuildFragmentOperators(graph, frag_id, inputs, ctx));
   TempResult result;
   result.schema = graph.fragment(frag_id).root->output_schema;
   XPRS_ASSIGN_OR_RETURN(result.tuples, Drain(root.get()));

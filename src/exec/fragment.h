@@ -9,14 +9,18 @@
 // Fragment outputs are materialized into shared memory (TempResult) and
 // consumed by the parent fragment through a TempSourceOp, or, on a hash
 // join's build edge, probed through the result's one shared index.
+//
+// One recursive builder turns plans into operator trees for every mode:
+// the serial executor builds the whole plan as one fragment with no
+// blocked inputs, the fragment executor builds one fragment, and each
+// slave of a parallel fragment run builds the same fragment with its
+// driving leaf bound to its slot of the shared partition.
 
 #ifndef XPRS_EXEC_FRAGMENT_H_
 #define XPRS_EXEC_FRAGMENT_H_
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/operators.h"
@@ -35,8 +39,6 @@ struct Fragment {
   std::map<const PlanNode*, int> blocked_inputs;
   /// Fragments that must finish before this one can run.
   std::vector<int> deps;
-
-  std::string ToString() const;
 };
 
 /// The fragment DAG of one plan.
@@ -53,8 +55,6 @@ class FragmentGraph {
 
   /// Ids in a valid execution order (dependencies first).
   std::vector<int> TopologicalOrder() const;
-
-  std::string ToString() const;
 
  private:
   int NewFragment(const PlanNode* root);
@@ -74,40 +74,41 @@ class FragmentGraph {
 /// Returns FailedPrecondition describing the first violation.
 Status ValidateFragmentGraph(const FragmentGraph& graph, const PlanNode& plan);
 
-/// Executes one fragment with the given materialized inputs, optionally as
-/// one worker of a static page partition (worker `partition_index` of
-/// `num_partitions` over the fragment's driving scan).
-StatusOr<TempResult> ExecuteFragment(
-    const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions = 1, int partition_index = 0);
+/// One slave's share of a parallel fragment: the partition its driving
+/// leaf reads from — `pages` for a sequential scan or a materialized input,
+/// `ranges` for an index scan — and the slave's slot in it.
+struct DrivingSlot {
+  AdjustablePageScan* pages = nullptr;
+  AdjustableRangeScan* ranges = nullptr;
+  int slot = 0;
+};
 
-/// Builds the operator tree of one fragment (blocked inputs replaced by
-/// TempSourceOp over `inputs`). Exposed for the parallel executor.
+/// Builds the operator tree of one fragment. Blocked inputs read the
+/// producing fragments' materialized `inputs`; a hash join whose build side
+/// is blocked probes that input's shared index. With `driving`, the
+/// fragment's driving leaf reads only its slot's granules; every other
+/// leaf reads its whole extent.
 StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
     const FragmentGraph& graph, int frag_id,
     const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions = 1, int partition_index = 0);
+    const DrivingSlot* driving = nullptr);
 
-/// Factory for the fragment's *driving* source — the left-most leaf of its
-/// pipeline (a scan, or the TempSource of a blocked left-most input). The
-/// parallel executor uses this to substitute dynamically partitioned
-/// sources. Receives the leaf plan node, or nullptr when the driving leaf
-/// is a blocked input (the factory then wraps that fragment's TempResult).
-using DrivingLeafFactory =
-    std::function<StatusOr<std::unique_ptr<Operator>>(const PlanNode* leaf)>;
+/// Builds a complete operator tree for a plan: the whole plan as one
+/// fragment with no blocked inputs, so blocking operators (sort, hash-join
+/// build, aggregate) run inline.
+StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(const PlanNode& plan,
+                                                      const ExecContext& ctx);
 
-/// BuildFragmentOperators variant replacing the driving leaf via `factory`;
-/// all other leaves are built normally (inner scans run whole).
-StatusOr<std::unique_ptr<Operator>> BuildFragmentOperatorsWithDriver(
+/// Executes one fragment serially with the given materialized inputs.
+StatusOr<TempResult> ExecuteFragment(
     const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    const DrivingLeafFactory& factory);
+    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx);
 
 /// The driving leaf of a fragment: its left-most plan node that is either
-/// a scan or a blocked input. Returns the node (which may be a blocked
-/// input node — check fragment.blocked_inputs).
-const PlanNode* DrivingLeaf(const FragmentGraph& graph, int frag_id);
+/// a scan or a blocked input (check fragment.blocked_inputs). Its pages,
+/// key range or materialized rows are what a parallel run splits among
+/// slaves.
+const PlanNode* DrivingLeaf(const Fragment& frag);
 
 /// Executes a whole plan fragment-by-fragment in dependency order (each
 /// fragment sequential). Must produce exactly what ExecutePlanSequential

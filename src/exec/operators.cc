@@ -4,6 +4,8 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "exec/page_partition.h"
+#include "exec/range_partition.h"
 #include "util/check.h"
 #include "util/str.h"
 
@@ -26,16 +28,13 @@ bool GetKey(const Tuple& tuple, size_t column, int32_t* key) {
 // ---------------------------------------------------------------- SeqScan
 
 SeqScanOp::SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
-                     int num_partitions, int partition_index)
+                     AdjustablePageScan* pages, int slot)
     : table_(table),
       predicate_(std::move(predicate)),
       ctx_(ctx),
-      num_partitions_(num_partitions),
-      partition_index_(partition_index) {
+      pages_(pages),
+      slot_(slot) {
   XPRS_CHECK(table != nullptr);
-  XPRS_CHECK_GE(num_partitions, 1);
-  XPRS_CHECK_GE(partition_index, 0);
-  XPRS_CHECK_LT(partition_index, num_partitions);
 }
 
 Status SeqScanOp::Open() {
@@ -45,11 +44,13 @@ Status SeqScanOp::Open() {
   pages_read_ = 0;
   current_ = nullptr;
   pooled_page_.Release();
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
   return Status::OK();
+}
+
+std::optional<uint32_t> SeqScanOp::TakePage() {
+  if (pages_ != nullptr) return pages_->NextPage(slot_);
+  if (next_page_ >= table_->file().num_pages()) return std::nullopt;
+  return next_page_++;
 }
 
 Status SeqScanOp::LoadPage(uint32_t page_index) {
@@ -88,11 +89,12 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!page_loaded_) {
-      if (next_page_ >= table_->file().num_pages()) {
+      std::optional<uint32_t> page = TakePage();
+      if (!page.has_value()) {
         *eof = true;
         return Status::OK();
       }
-      XPRS_RETURN_IF_ERROR(LoadPage(next_page_));
+      XPRS_RETURN_IF_ERROR(LoadPage(*page));
     }
     while (next_slot_ < current_->num_tuples()) {
       const uint8_t* data;
@@ -106,21 +108,22 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
         return Status::OK();
       }
     }
-    // Page exhausted: step to this worker's next page.
     page_loaded_ = false;
     pooled_page_.Release();
-    next_page_ += num_partitions_;
   }
 }
 
 // -------------------------------------------------------------- IndexScan
 
 IndexScanOp::IndexScanOp(Table* table, Predicate predicate, KeyRange range,
-                         ExecContext ctx)
+                         ExecContext ctx, AdjustableRangeScan* ranges,
+                         int slot)
     : table_(table),
       predicate_(std::move(predicate)),
       range_(range),
-      ctx_(ctx) {
+      ctx_(ctx),
+      ranges_(ranges),
+      slot_(slot) {
   XPRS_CHECK(table != nullptr);
   XPRS_CHECK_MSG(table->index() != nullptr, "index scan without index");
 }
@@ -128,15 +131,30 @@ IndexScanOp::IndexScanOp(Table* table, Predicate predicate, KeyRange range,
 Status IndexScanOp::Open() {
   // No cleanup needed on failure: the iterator is the only resource and it
   // is only installed on success; page pins are scoped to each Next call.
+  it_.reset();
+  tuples_fetched_ = 0;
+  if (ranges_ != nullptr) return Status::OK();  // chunks open in Next
   XPRS_ASSIGN_OR_RETURN(it_,
                         table_->index()->ScanChecked(range_.lo, range_.hi));
-  tuples_fetched_ = 0;
   return Status::OK();
 }
 
 Status IndexScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
-  while (it_->Valid()) {
+  for (;;) {
+    if (!it_.has_value() || !it_->Valid()) {
+      // The range (or this slot's chunk) is done: take the slot's next
+      // chunk, if partitioned.
+      std::optional<KeyRange> chunk;
+      if (ranges_ != nullptr) chunk = ranges_->NextChunk(slot_);
+      if (!chunk.has_value()) {
+        *eof = true;
+        return Status::OK();
+      }
+      XPRS_ASSIGN_OR_RETURN(it_,
+                            table_->index()->ScanChecked(chunk->lo, chunk->hi));
+      continue;
+    }
     // Every iteration costs a random page read, so a per-tuple poll of the
     // token is in the noise here.
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
@@ -162,8 +180,6 @@ Status IndexScanOp::Next(Tuple* out, bool* eof) {
       return Status::OK();
     }
   }
-  *eof = true;
-  return Status::OK();
 }
 
 // ----------------------------------------------------------------- Filter
@@ -602,55 +618,6 @@ Status AggregateOp::Close() {
   return Status::OK();
 }
 
-// ------------------------------------------------------------------- Sort
-
-SortOp::SortOp(std::unique_ptr<Operator> child, size_t sort_key)
-    : child_(std::move(child)), sort_key_(sort_key) {}
-
-Status SortOp::Open() {
-  Status st = OpenImpl();
-  if (!st.ok()) {
-    rows_.clear();
-    (void)child_->Close();  // a failed drain must not leak the open child
-  }
-  return st;
-}
-
-Status SortOp::OpenImpl() {
-  rows_.clear();
-  pos_ = 0;
-  XPRS_RETURN_IF_ERROR(child_->Open());
-  for (;;) {
-    Tuple tuple;
-    bool eof;
-    XPRS_RETURN_IF_ERROR(child_->Next(&tuple, &eof));
-    if (eof) break;
-    rows_.push_back(std::move(tuple));
-  }
-  XPRS_RETURN_IF_ERROR(child_->Close());
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [this](const Tuple& a, const Tuple& b) {
-                     return CompareValues(a.value(sort_key_),
-                                          b.value(sort_key_)) < 0;
-                   });
-  return Status::OK();
-}
-
-Status SortOp::Next(Tuple* out, bool* eof) {
-  if (pos_ >= rows_.size()) {
-    *eof = true;
-    return Status::OK();
-  }
-  *eof = false;
-  *out = rows_[pos_++];
-  return Status::OK();
-}
-
-Status SortOp::Close() {
-  rows_.clear();
-  return Status::OK();
-}
-
 // ------------------------------------------------------------- TempResult
 
 const JoinHashTable& TempResult::JoinIndex(size_t key,
@@ -665,19 +632,32 @@ const JoinHashTable& TempResult::JoinIndex(size_t key,
 
 // ------------------------------------------------------------- TempSource
 
-TempSourceOp::TempSourceOp(const TempResult* temp) : temp_(temp) {
+uint32_t TempSourceOp::NumBatches(size_t num_tuples) {
+  return static_cast<uint32_t>((num_tuples + kBatchTuples - 1) / kBatchTuples);
+}
+
+TempSourceOp::TempSourceOp(const TempResult* temp, AdjustablePageScan* batches,
+                           int slot)
+    : temp_(temp), batches_(batches), slot_(slot) {
   XPRS_CHECK(temp != nullptr);
 }
 
 Status TempSourceOp::Open() {
   pos_ = 0;
+  end_ = batches_ != nullptr ? 0 : temp_->tuples.size();
   return Status::OK();
 }
 
 Status TempSourceOp::Next(Tuple* out, bool* eof) {
-  if (pos_ >= temp_->tuples.size()) {
-    *eof = true;
-    return Status::OK();
+  while (pos_ >= end_) {
+    std::optional<uint32_t> batch;
+    if (batches_ != nullptr) batch = batches_->NextPage(slot_);
+    if (!batch.has_value()) {
+      *eof = true;
+      return Status::OK();
+    }
+    pos_ = static_cast<size_t>(*batch) * kBatchTuples;
+    end_ = std::min(pos_ + kBatchTuples, temp_->tuples.size());
   }
   *eof = false;
   *out = temp_->tuples[pos_++];

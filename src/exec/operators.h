@@ -1,8 +1,11 @@
-// Volcano-style sequential operators.
+// Volcano-style operators.
 //
 // Every operator implements Open / Next / Close. Scans pay disk time
 // through the storage layer (optionally via a shared buffer pool), which is
-// what gives each plan fragment its i/o rate C_i.
+// what gives each plan fragment its i/o rate C_i. Each access path has one
+// scan class: alone it reads its whole extent; given a shared adjustable
+// partition (exec/page_partition.h, exec/range_partition.h) it is one slave
+// of a parallel scan and reads only the granules handed to its slot (§2.4).
 
 #ifndef XPRS_EXEC_OPERATORS_H_
 #define XPRS_EXEC_OPERATORS_H_
@@ -23,11 +26,14 @@
 
 namespace xprs {
 
+class AdjustablePageScan;
+class AdjustableRangeScan;
+
 /// Spill configuration for memory-bounded operators (external sort,
 /// grace hash join).
 struct SpillConfig {
   /// Disk array temporary files are written to. nullptr = never spill
-  /// (pure in-memory operators are used instead).
+  /// (sorts stay in memory; hash joins use the in-memory HashJoinOp).
   DiskArray* temp_array = nullptr;
   /// Maximum tuples held in memory per operator before spilling.
   size_t memory_tuples = 4096;
@@ -118,13 +124,13 @@ class Operator {
   OperatorStats* prof_ = nullptr;
 };
 
-/// Sequential scan over a heap file with an optional static page partition:
-/// worker `partition_index` of `num_partitions` reads pages
-/// {p | p mod num_partitions == partition_index} (§2.4 page partitioning).
+/// Sequential scan over a heap file. Without `pages` it reads every page
+/// in order; with it, it reads the pages the partition hands `slot`, which
+/// the master may re-cut mid-scan (§2.4 page partitioning).
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
-            int num_partitions = 1, int partition_index = 0);
+            AdjustablePageScan* pages = nullptr, int slot = 0);
 
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
@@ -137,13 +143,15 @@ class SeqScanOp : public Operator {
   uint64_t pages_read() const { return pages_read_; }
 
  private:
+  // The next page to read, or nothing when this scan's share is done.
+  std::optional<uint32_t> TakePage();
   Status LoadPage(uint32_t page_index);
 
   Table* const table_;
   const Predicate predicate_;
   const ExecContext ctx_;
-  const int num_partitions_;
-  const int partition_index_;
+  AdjustablePageScan* const pages_;
+  const int slot_;
 
   uint32_t next_page_ = 0;
   uint16_t next_slot_ = 0;
@@ -157,10 +165,13 @@ class SeqScanOp : public Operator {
 /// Unclustered index scan: walks index entries with key in `range`, fetches
 /// each qualifying tuple by TupleId (one random page read per tuple — the
 /// §3 "most IO-bound" access pattern), applies the residual predicate.
+/// With `ranges` it walks instead the key chunks that range partition hands
+/// `slot` (§2.4 range partitioning); `range` is then the partition's.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(Table* table, Predicate predicate, KeyRange range,
-              ExecContext ctx);
+              ExecContext ctx, AdjustableRangeScan* ranges = nullptr,
+              int slot = 0);
 
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
@@ -173,6 +184,8 @@ class IndexScanOp : public Operator {
   const Predicate predicate_;
   const KeyRange range_;
   const ExecContext ctx_;
+  AdjustableRangeScan* const ranges_;
+  const int slot_;
   std::optional<BTreeIndex::Iterator> it_;
   uint64_t tuples_fetched_ = 0;
 };
@@ -336,24 +349,6 @@ class AggregateOp : public Operator {
   size_t pos_ = 0;
 };
 
-/// Sort: drains its input on Open (a blocking edge), emits in key order.
-class SortOp : public Operator {
- public:
-  SortOp(std::unique_ptr<Operator> child, size_t sort_key);
-  Status Open() override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  Status OpenImpl();
-
-  std::unique_ptr<Operator> child_;
-  const size_t sort_key_;
-  std::vector<Tuple> rows_;
-  size_t pos_ = 0;
-};
-
 /// A materialized intermediate result living in shared memory.
 struct TempResult {
   Schema schema;
@@ -375,17 +370,28 @@ struct TempResult {
   std::unique_ptr<Index> index_ = std::make_unique<Index>();
 };
 
-/// Source over a materialized intermediate (fragment input).
+/// Source over a materialized intermediate (fragment input). Without
+/// `batches` it emits every row; with it, it emits the kBatchTuples-row
+/// batches the partition hands `slot`, as if they were pages.
 class TempSourceOp : public Operator {
  public:
-  explicit TempSourceOp(const TempResult* temp);
+  static constexpr size_t kBatchTuples = 64;
+
+  /// Number of batches a TempResult of `num_tuples` rows spans.
+  static uint32_t NumBatches(size_t num_tuples);
+
+  explicit TempSourceOp(const TempResult* temp,
+                        AdjustablePageScan* batches = nullptr, int slot = 0);
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
   const Schema& schema() const override { return temp_->schema; }
 
  private:
   const TempResult* const temp_;
+  AdjustablePageScan* const batches_;
+  const int slot_;
   size_t pos_ = 0;
+  size_t end_ = 0;  // end of the current batch (of all rows, unpartitioned)
 };
 
 /// Cancellation decorator inserted by the plan builders when ctx.cancel is

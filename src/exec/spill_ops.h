@@ -21,7 +21,8 @@ namespace xprs {
 /// External merge sort: builds sorted runs of at most
 /// `config.memory_tuples` tuples, spills each run to a temporary heap
 /// file, then streams a k-way merge of the runs. With no temp array (or
-/// when the input fits) it degenerates to the in-memory sort.
+/// when the input fits) it is an in-memory stable sort; the plan builder
+/// uses it for every Sort node.
 class ExternalSortOp : public Operator {
  public:
   ExternalSortOp(std::unique_ptr<Operator> child, size_t sort_key,

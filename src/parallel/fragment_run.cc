@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/driven_ops.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/str.h"
@@ -20,28 +19,28 @@ ParallelFragmentRun::ParallelFragmentRun(
   XPRS_CHECK_GE(options.initial_parallelism, 1);
   XPRS_CHECK_GE(options.max_slots, options.initial_parallelism);
 
-  driving_leaf_ = DrivingLeaf(*graph_, frag_id_);
   const Fragment& frag = graph_->fragment(frag_id_);
-  auto blocked = frag.blocked_inputs.find(driving_leaf_);
+  const PlanNode* leaf = DrivingLeaf(frag);
+  auto blocked = frag.blocked_inputs.find(leaf);
 
   if (blocked != frag.blocked_inputs.end()) {
     // Driving source is a materialized input: page-partition its batches.
     driving_is_temp_ = true;
     const TempResult* temp = inputs_.at(blocked->second);
-    total_granules_ = DrivenTempSourceOp::NumBatches(temp->tuples.size());
+    total_granules_ = TempSourceOp::NumBatches(temp->tuples.size());
     page_scan_ = std::make_unique<AdjustablePageScan>(
         total_granules_, options.initial_parallelism, options.max_slots);
-  } else if (driving_leaf_->kind == PlanKind::kSeqScan) {
-    total_granules_ = driving_leaf_->table->file().num_pages();
+  } else if (leaf->kind == PlanKind::kSeqScan) {
+    total_granules_ = leaf->table->file().num_pages();
     page_scan_ = std::make_unique<AdjustablePageScan>(
         total_granules_, options.initial_parallelism, options.max_slots);
   } else {
-    XPRS_CHECK(driving_leaf_->kind == PlanKind::kIndexScan);
-    const BTreeIndex* index = driving_leaf_->table->index();
-    total_granules_ = static_cast<uint32_t>(index->CountRange(
-        driving_leaf_->index_range.lo, driving_leaf_->index_range.hi));
+    XPRS_CHECK(leaf->kind == PlanKind::kIndexScan);
+    const BTreeIndex* index = leaf->table->index();
+    total_granules_ = static_cast<uint32_t>(
+        index->CountRange(leaf->index_range.lo, leaf->index_range.hi));
     range_scan_ = std::make_unique<AdjustableRangeScan>(
-        index, driving_leaf_->index_range, options.initial_parallelism,
+        index, leaf->index_range, options.initial_parallelism,
         options.max_slots);
   }
   current_parallelism_ = options.initial_parallelism;
@@ -52,37 +51,10 @@ ParallelFragmentRun::~ParallelFragmentRun() {
     if (t.joinable()) t.join();
 }
 
-StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
-    int slot) {
-  DrivingLeafFactory factory =
-      [this, slot](const PlanNode* leaf) -> StatusOr<std::unique_ptr<Operator>> {
-    if (driving_is_temp_) {
-      // Not profiled: a temp source re-emits the producing fragment's
-      // already-counted output.
-      const Fragment& frag = graph_->fragment(frag_id_);
-      const TempResult* temp = inputs_.at(frag.blocked_inputs.at(leaf));
-      return std::unique_ptr<Operator>(std::make_unique<DrivenTempSourceOp>(
-          temp, page_scan_.get(), slot));
-    }
-    if (leaf->kind == PlanKind::kSeqScan) {
-      return MaybeProfile(
-          std::make_unique<DrivenSeqScanOp>(leaf->table, leaf->predicate,
-                                            options_.ctx, page_scan_.get(),
-                                            slot),
-          leaf, options_.ctx.profile);
-    }
-    return MaybeProfile(
-        std::make_unique<DrivenIndexScanOp>(leaf->table, leaf->predicate,
-                                            options_.ctx, range_scan_.get(),
-                                            slot),
-        leaf, options_.ctx.profile);
-  };
-  return BuildFragmentOperatorsWithDriver(*graph_, frag_id_, inputs_,
-                                          options_.ctx, factory);
-}
-
 void ParallelFragmentRun::SlaveMain(int slot) {
-  auto pipeline = BuildPipeline(slot);
+  const DrivingSlot driving{page_scan_.get(), range_scan_.get(), slot};
+  auto pipeline = BuildFragmentOperators(*graph_, frag_id_, inputs_,
+                                         options_.ctx, &driving);
   std::vector<Tuple> local;
   Status status = pipeline.ok() ? Status::OK() : pipeline.status();
   if (status.ok()) {

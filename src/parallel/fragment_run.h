@@ -8,13 +8,15 @@
 //   - unclustered index scan   -> range partitioning (AdjustableRangeScan)
 //   - materialized input       -> page partitioning over tuple batches
 //
-// Every slave runs its own copy of the pipeline's operators; the copies
-// share the partition state, the buffer pool, the disk array and the hash
-// tables of the fragment's hash joins (shared memory): each build input is
-// indexed once, by the first slave to open its join, and every slave
-// probes that one table read-only (TempResult::JoinIndex). Worker outputs
-// are concatenated; fragments rooted at a Sort re-sort the concatenation so
-// the fragment's contract (sorted output) holds.
+// Every slave builds its own copy of the pipeline with the ordinary plan
+// builder (BuildFragmentOperators), its driving leaf bound to the slave's
+// slot of the shared partition; every other operator is the serial one.
+// The copies share the partition state, the buffer pool, the disk array
+// and the hash tables of the fragment's hash joins (shared memory): each
+// build input is indexed once, by the first slave to open its join, and
+// every slave probes that one table read-only (TempResult::JoinIndex).
+// Worker outputs are concatenated; fragments rooted at a Sort re-sort the
+// concatenation so the fragment's contract (sorted output) holds.
 
 #ifndef XPRS_PARALLEL_FRAGMENT_RUN_H_
 #define XPRS_PARALLEL_FRAGMENT_RUN_H_
@@ -28,8 +30,8 @@
 #include <vector>
 
 #include "exec/fragment.h"
-#include "parallel/page_partition.h"
-#include "parallel/range_partition.h"
+#include "exec/page_partition.h"
+#include "exec/range_partition.h"
 
 namespace xprs {
 
@@ -80,7 +82,6 @@ class ParallelFragmentRun {
  private:
   void SlaveMain(int slot);
   void SpawnLocked(int slot);
-  StatusOr<std::unique_ptr<Operator>> BuildPipeline(int slot);
 
   const FragmentGraph* const graph_;
   const int frag_id_;
@@ -90,7 +91,6 @@ class ParallelFragmentRun {
   // Exactly one of these is used, per the driving leaf kind.
   std::unique_ptr<AdjustablePageScan> page_scan_;
   std::unique_ptr<AdjustableRangeScan> range_scan_;
-  const PlanNode* driving_leaf_ = nullptr;
   bool driving_is_temp_ = false;
   uint32_t total_granules_ = 0;
 

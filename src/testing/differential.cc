@@ -720,31 +720,45 @@ Status DifferentialOracle::CheckScanIoConservation(Table* table) {
         static_cast<int>(table->stats().num_pages)));
   }
 
+  // The scan as a one-node fragment, run as the master runs it: slaves pull
+  // pages from one adjustable partition, which is re-cut once mid-scan.
+  std::unique_ptr<PlanNode> plan = MakeSeqScan(table, Predicate());
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
   for (int degree : options_.degrees) {
+    QueryProfile profile(plan.get());
+    ParallelFragmentRun::Options run_options;
+    run_options.initial_parallelism = degree;
+    run_options.max_slots = std::max(options_.max_slots, degree + 1);
+    run_options.ctx.profile = &profile;
+    // Any parallelism but the current one, so the rendezvous moves pages.
+    int adjust_to = 1 + static_cast<int>(rng_.NextUint64(
+                            static_cast<uint64_t>(run_options.max_slots - 1)));
+    if (adjust_to >= degree) ++adjust_to;
+
     array_->ResetStats();
-    uint64_t partition_pages = 0;
-    std::vector<Tuple> merged;
-    for (int part = 0; part < degree; ++part) {
-      SeqScanOp scan(table, Predicate(), plain, degree, part);
-      XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Drain(&scan));
-      partition_pages += scan.pages_read();
-      merged.insert(merged.end(), rows.begin(), rows.end());
-    }
+    ParallelFragmentRun run(&graph, graph.root_fragment(), {}, run_options);
+    XPRS_RETURN_IF_ERROR(run.Start());
+    run.Adjust(adjust_to);
+    XPRS_ASSIGN_OR_RETURN(TempResult merged, run.Wait());
+    const uint64_t partition_pages =
+        profile.StatsFor(plan.get())->pages_read.load();
     const uint64_t partition_reads = array_->total_stats().reads;
-    // §2.2: parallelism rescales time, never the io demand D_i. The
-    // partitions must cover the serial page set exactly, both as counted
-    // by the scans and as served by the array.
+    // §2.2: parallelism rescales time, never the io demand D_i. The slaves
+    // must cover the serial page set exactly, both as counted by the scans
+    // and as served by the array.
     if (partition_pages != serial_pages || partition_reads != serial_reads) {
       return Status::Internal(StrFormat(
-          "io conservation violated on %s at degree %d: serial %d pages "
-          "(%d array reads), partitions %d pages (%d array reads)",
-          table->name().c_str(), degree, static_cast<int>(serial_pages),
-          static_cast<int>(serial_reads), static_cast<int>(partition_pages),
+          "io conservation violated on %s at degree %d (adjusted to %d): "
+          "serial %d pages (%d array reads), slaves %d pages (%d array "
+          "reads)",
+          table->name().c_str(), degree, adjust_to,
+          static_cast<int>(serial_pages), static_cast<int>(serial_reads),
+          static_cast<int>(partition_pages),
           static_cast<int>(partition_reads)));
     }
-    XPRS_RETURN_IF_ERROR(Compare(
-        *MakeSeqScan(table, Predicate()),
-        StrFormat("partitioned-scan(%d)", degree), reference, merged));
+    XPRS_RETURN_IF_ERROR(Compare(*plan,
+                                 StrFormat("parallel-scan(%d)", degree),
+                                 reference, merged.tuples));
   }
   array_->ResetStats();
   return Status::OK();

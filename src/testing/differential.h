@@ -31,8 +31,8 @@
 // Structural invariants ride along: every plan's fragment decomposition is
 // checked with ValidateFragmentGraph, and CheckScanIoConservation asserts
 // the §2.2 fluid-model premise that a task's total io demand D_i is a
-// property of the task — page partitioning at any degree must read exactly
-// the pages the serial scan reads, no more, no fewer.
+// property of the task — a parallel scan at any degree, adjusted mid-scan,
+// must read exactly the pages the serial scan reads, no more, no fewer.
 //
 // CheckFaultSurfacing arms the storage fault hooks (disk-array read,
 // buffer-pool fetch, short write during spill) one at a time and asserts
@@ -181,8 +181,9 @@ class DifferentialOracle {
   /// or fail with a retryable status. No-op when the rate is <= 0.
   Status CheckPlansConcurrentChaos(const std::vector<const PlanNode*>& plans);
 
-  /// §2.2 io conservation: a page-partitioned scan of `table` at every
-  /// configured degree reads exactly the serial scan's pages.
+  /// §2.2 io conservation: `table` scanned by a ParallelFragmentRun at
+  /// every configured degree, with one mid-scan adjustment, reads exactly
+  /// the serial scan's pages and returns exactly its rows.
   Status CheckScanIoConservation(Table* table);
 
   const DifferentialReport& report() const { return report_; }

@@ -290,29 +290,6 @@ TEST_F(BatchExecTest, BatchSeqScanMatchesTupleScan) {
   EXPECT_EQ(Normalize(rows), Normalize(*want));
 }
 
-TEST_F(BatchExecTest, PartitionedBatchScansUnionToFullScan) {
-  std::vector<Tuple> merged;
-  for (int part = 0; part < 3; ++part) {
-    ExecContext ctx;
-    ctx.batch_rows = 16;
-    BatchSeqScanOp scan(r_, ctx, /*num_partitions=*/3, part);
-    ASSERT_TRUE(scan.Open().ok());
-    ColumnBatch batch;
-    bool eof = false;
-    while (true) {
-      ASSERT_TRUE(scan.NextBatch(&batch, &eof).ok());
-      if (eof) break;
-      for (uint32_t k = 0; k < batch.ActiveSize(); ++k)
-        merged.push_back(batch.MaterializeRow(batch.ActiveRow(k)));
-    }
-    ASSERT_TRUE(scan.Close().ok());
-  }
-  SeqScanOp ref(r_, Predicate(), ctx_);
-  auto want = Drain(&ref);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(Normalize(merged), Normalize(*want));
-}
-
 TEST_F(BatchExecTest, ScanFilterEquivalent) {
   ExpectEquivalent(*MakeSeqScan(r_, Predicate::Between(0, 50, 59)));
 }
@@ -374,20 +351,20 @@ TEST_F(BatchExecTest, NonVectorizableRootFallsBack) {
 
 TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   ExecContext plain;
-  EXPECT_TRUE(VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain, true,
-                                  nullptr));
+  EXPECT_TRUE(
+      VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain, nullptr));
   EXPECT_TRUE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      plain, true, nullptr));
+      plain, nullptr));
   EXPECT_FALSE(VectorizableSubtree(*MakeSort(MakeSeqScan(r_, Predicate()), 0),
-                                   plain, true, nullptr));
+                                   plain, nullptr));
   // Text join keys fall back to the tuple path (it never type-checks keys
   // it does not extract, and batch columns are int4-keyed).
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     1, 1),
-      plain, true, nullptr));
+      plain, nullptr));
   // Spilling joins defer to GraceHashJoinOp.
   ExecContext spilling = plain;
   DiskArray temp(1, DiskMode::kInstant);
@@ -396,7 +373,7 @@ TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      spilling, true, nullptr));
+      spilling, nullptr));
 }
 
 TEST_F(BatchExecTest, CancellationStopsVectorizedRun) {

@@ -10,6 +10,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "exec/plan.h"
+#include "exec/spill_ops.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 
@@ -137,19 +138,6 @@ TEST_F(ExecTest, SeqScanAppliesPredicate) {
   EXPECT_EQ(rows->size(), 10u);
 }
 
-TEST_F(ExecTest, PartitionedScansUnionToFullScan) {
-  for (int n : {2, 3, 4, 7}) {
-    std::multiset<std::string> combined;
-    for (int i = 0; i < n; ++i) {
-      SeqScanOp scan(r_, Predicate(), ctx_, n, i);
-      auto rows = Drain(&scan);
-      ASSERT_TRUE(rows.ok());
-      for (const auto& t : *rows) combined.insert(t.ToString());
-    }
-    EXPECT_EQ(combined.size(), 200u) << "n=" << n;
-  }
-}
-
 TEST_F(ExecTest, IndexScanMatchesSeqScanFilter) {
   KeyRange range{20, 40};
   IndexScanOp iscan(r_, Predicate(), range, ctx_);
@@ -186,7 +174,7 @@ TEST_F(ExecTest, FilterOp) {
 
 TEST_F(ExecTest, SortOrdersRows) {
   auto scan = std::make_unique<SeqScanOp>(s_, Predicate(), ctx_);
-  SortOp sort(std::move(scan), 0);
+  ExternalSortOp sort(std::move(scan), 0, SpillConfig());
   auto rows = Drain(&sort);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 200u);
@@ -315,30 +303,6 @@ TEST_F(ExecTest, FragmentedExecutionMatchesSequential) {
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
   EXPECT_EQ(Normalize(*seq), Normalize(*frag));
   EXPECT_FALSE(seq->empty());
-}
-
-TEST_F(ExecTest, FragmentPartitionedExecutionUnions) {
-  // Run the probe fragment of a hash join in 3 partitions; the union must
-  // equal the unpartitioned result.
-  auto plan = MakeHashJoin(MakeSeqScan(r_, Predicate()),
-                           MakeSeqScan(s_, Predicate()), 0, 0);
-  FragmentGraph g = FragmentGraph::Decompose(*plan);
-  int build_id = g.fragment(g.root_fragment()).deps[0];
-
-  auto build = ExecuteFragment(g, build_id, {}, ctx_);
-  ASSERT_TRUE(build.ok());
-  std::map<int, const TempResult*> inputs{{build_id, &build.value()}};
-
-  std::multiset<std::string> combined;
-  for (int i = 0; i < 3; ++i) {
-    auto part = ExecuteFragment(g, g.root_fragment(), inputs, ctx_, 3, i);
-    ASSERT_TRUE(part.ok());
-    for (const auto& t : part->tuples) combined.insert(t.ToString());
-  }
-
-  auto whole = ExecutePlanSequential(*plan, ctx_);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_EQ(combined, Normalize(*whole));
 }
 
 TEST_F(ExecTest, BufferPoolPathAgreesWithDirectPath) {

@@ -11,6 +11,7 @@
 #include "exec/batch_ops.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
+#include "exec/spill_ops.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/fault_injector.h"
@@ -159,9 +160,9 @@ TEST_F(OpenLeakTest, VectorizedHashJoinFetchFaultLeavesZeroPins) {
 
 TEST_F(OpenLeakTest, SortOpenFailureClosesChild) {
   HookOp::Counters child;
-  SortOp sort(std::make_unique<HookOp>(Scan(ctx_), &child,
-                                       /*fail_next_after=*/5),
-              0);
+  ExternalSortOp sort(std::make_unique<HookOp>(Scan(ctx_), &child,
+                                               /*fail_next_after=*/5),
+                      0, SpillConfig());
   ASSERT_FALSE(sort.Open().ok());
   EXPECT_EQ(child.opens, 1);
   EXPECT_EQ(child.closes, 1);

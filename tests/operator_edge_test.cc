@@ -5,6 +5,7 @@
 
 #include "exec/executor.h"
 #include "exec/operators.h"
+#include "exec/spill_ops.h"
 #include "storage/catalog.h"
 
 namespace xprs {
@@ -161,7 +162,7 @@ TEST_F(OperatorEdgeTest, TempSourceRoundTrip) {
 TEST_F(OperatorEdgeTest, SortStability) {
   // Equal keys must keep their scan order (stable sort).
   auto scan = std::make_unique<SeqScanOp>(filled_, Predicate(), ctx_);
-  SortOp sort(std::move(scan), 0);
+  ExternalSortOp sort(std::move(scan), 0, SpillConfig());
   auto rows = Drain(&sort);
   ASSERT_TRUE(rows.ok());
   for (size_t i = 1; i < rows->size(); ++i) {

@@ -15,10 +15,10 @@
 
 #include "exec/executor.h"
 #include "exec/fragment.h"
+#include "exec/page_partition.h"
+#include "exec/range_partition.h"
 #include "parallel/fragment_run.h"
 #include "parallel/master.h"
-#include "parallel/page_partition.h"
-#include "parallel/range_partition.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "exec/executor.h"
@@ -63,11 +64,13 @@ class SpillTest : public ::testing::Test {
 };
 
 TEST_F(SpillTest, ExternalSortMatchesInMemorySort) {
-  auto in_mem = [&] {
-    auto scan = std::make_unique<SeqScanOp>(t_, Predicate(), plain_);
-    SortOp sort(std::move(scan), 0);
-    return Drain(&sort).value();
-  }();
+  // Reference: std::stable_sort of the drained input.
+  SeqScanOp input(t_, Predicate(), plain_);
+  std::vector<Tuple> in_mem = Drain(&input).value();
+  std::stable_sort(in_mem.begin(), in_mem.end(),
+                   [](const Tuple& a, const Tuple& b) {
+                     return CompareValues(a.value(0), b.value(0)) < 0;
+                   });
 
   auto scan = std::make_unique<SeqScanOp>(t_, Predicate(), plain_);
   ExternalSortOp sort(std::move(scan), 0, Spilling(128));

@@ -264,15 +264,17 @@ echo "==> [8/10] tsan config (concurrency subset)"
 # ThreadSanitizer catches the races the resilience layer is most exposed
 # to: the cancellation token, the done-queue control loop, the retry
 # ladder re-launching fragment runs, buffer-pool admission counters, the
-# serving layer's scheduler/session machinery, and one prepared statement
-# run from many threads at once (sql_test).
+# serving layer's scheduler/session machinery, one prepared statement
+# run from many threads at once (sql_test), and the differential oracle's
+# multi-threaded modes (concurrent, concurrent-chaos, parallel(d),
+# vectorized-parallel).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
-  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload|sql)_test' \
+  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload|sql|differential)_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "==> [9/10] fixed-seed chaos smoke (tier1-gated)"

@@ -36,18 +36,10 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   while (out->size() < target && next_page_ < table_->file().num_pages()) {
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
     // The pin (when pooled) lives exactly as long as this page's decode.
-    PageHandle handle;
-    const Page* page;
-    if (ctx_.pool != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(next_page_));
-      auto fetched = FetchWithBackpressure(ctx_, block);
-      if (!fetched.ok()) return fetched.status();
-      handle = std::move(fetched).value();
-      page = &handle.page();
-    } else {
-      XPRS_RETURN_IF_ERROR(table_->file().ReadPage(next_page_, &direct_page_));
-      page = &direct_page_;
-    }
+    PageHandle pin;
+    XPRS_ASSIGN_OR_RETURN(
+        const Page* page,
+        ReadTablePage(ctx_, *table_, next_page_, &pin, &direct_page_));
     ++pages_read_;
     ProfPagesRead(1);
     const uint16_t n = page->num_tuples();
@@ -128,7 +120,7 @@ BatchHashJoinOp::BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
 Status BatchHashJoinOp::Open() {
   Status st = OpenImpl();
   if (!st.ok()) {
-    table_.clear();
+    table_.Clear();
     (void)inner_->Close();
     (void)outer_->Close();
   }
@@ -136,7 +128,6 @@ Status BatchHashJoinOp::Open() {
 }
 
 Status BatchHashJoinOp::OpenImpl() {
-  table_.clear();
   build_.Reset(&inner_->schema());
   probe_pos_ = 0;
   have_probe_ = false;
@@ -145,6 +136,8 @@ Status BatchHashJoinOp::OpenImpl() {
   XPRS_RETURN_IF_ERROR(inner_->Open());
   const bool key_is_int =
       inner_->schema().column(right_key_).type == TypeId::kInt4;
+  std::vector<int32_t> keys;    // of each build row
+  std::vector<uint32_t> rows;   // its position in build_
   for (;;) {
     bool eof = false;
     XPRS_RETURN_IF_ERROR(inner_->NextBatch(&scratch_, &eof));
@@ -155,11 +148,13 @@ Status BatchHashJoinOp::OpenImpl() {
       const uint32_t r = scratch_.ActiveRow(k);
       if (scratch_.IsNullAt(right_key_, r)) continue;  // NULL keys never match
       XPRS_CHECK_MSG(key_is_int, "join key must be int4");
-      table_.emplace(scratch_.IntAt(right_key_, r), build_.size());
+      keys.push_back(scratch_.IntAt(right_key_, r));
+      rows.push_back(build_.size());
       build_.AppendRowFrom(scratch_, r);
     }
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
+  table_.Build(keys, rows);
   ProfBuildRows(build_.size());
   ProfOpen();
   return outer_->Open();
@@ -178,11 +173,14 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
         const uint32_t r = probe_.ActiveRow(probe_pos_++);
         if (probe_.IsNullAt(left_key_, r)) continue;  // NULL keys never match
         XPRS_CHECK_MSG(key_is_int, "join key must be int4");
-        auto [lo, hi] = table_.equal_range(probe_.IntAt(left_key_, r));
+        const int32_t key = probe_.IntAt(left_key_, r);
         const std::vector<uint8_t>* mask =
             emit_mask_.empty() ? nullptr : &emit_mask_;
-        for (auto it = lo; it != hi; ++it)
-          out->AppendConcatRow(probe_, r, build_, it->second, mask);
+        const auto [first, last] = table_.Bucket(key);
+        for (uint32_t e = first; e < last; ++e) {
+          if (table_.key(e) == key)
+            out->AppendConcatRow(probe_, r, build_, table_.row(e), mask);
+        }
         // A probe row is never split across output batches, so the batch
         // may overshoot the target by one row's match count.
         if (out->size() >= target) {
@@ -211,7 +209,7 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
 }
 
 Status BatchHashJoinOp::Close() {
-  table_.clear();
+  table_.Clear();
   return outer_->Close();
 }
 
@@ -252,17 +250,7 @@ Status BatchAggregateOp::Open() {
 Status BatchAggregateOp::OpenImpl() {
   results_.Reset(&schema_);
   pos_ = 0;
-
-  struct Acc {
-    int64_t count = 0;
-    int64_t sum = 0;
-    int32_t min = 0;
-    int32_t max = 0;
-    bool any = false;
-  };
-  std::unordered_map<int32_t, Acc> groups;
-  Acc global;
-
+  Aggregation agg(func_, group_col_ >= 0);
   const Schema& in = child_->schema();
   const bool agg_is_int = in.column(agg_col_).type == TypeId::kInt4;
   XPRS_RETURN_IF_ERROR(child_->Open());
@@ -277,53 +265,23 @@ Status BatchAggregateOp::OpenImpl() {
       if (scratch_.IsNullAt(agg_col_, r)) continue;  // SQL: skip NULL inputs
       if (!agg_is_int)
         return Status::InvalidArgument("aggregate column must be int4");
-      const int32_t value = scratch_.IntAt(agg_col_, r);
-
-      Acc* acc = &global;
+      int32_t key = 0;
       if (group_col_ >= 0) {
         const size_t g = static_cast<size_t>(group_col_);
         if (scratch_.IsNullAt(g, r)) continue;  // NULL group key: dropped
         XPRS_CHECK_MSG(in.column(g).type == TypeId::kInt4,
                        "join key must be int4");
-        acc = &groups[scratch_.IntAt(g, r)];
+        key = scratch_.IntAt(g, r);
       }
-      ++acc->count;
-      acc->sum += value;
-      if (!acc->any || value < acc->min) acc->min = value;
-      if (!acc->any || value > acc->max) acc->max = value;
-      acc->any = true;
+      agg.Add(key, scratch_.IntAt(agg_col_, r));
     }
   }
   XPRS_RETURN_IF_ERROR(child_->Close());
-
-  auto emit = [this](const Acc& acc) -> int32_t {
-    switch (func_) {
-      case AggFunc::kCount:
-        return static_cast<int32_t>(acc.count);
-      case AggFunc::kSum:
-        return static_cast<int32_t>(acc.sum);
-      case AggFunc::kMin:
-        return acc.min;
-      case AggFunc::kMax:
-        return acc.max;
-    }
-    return 0;
-  };
-
-  if (group_col_ >= 0) {
-    // Deterministic output order: by group key.
-    std::vector<int32_t> keys;
-    keys.reserve(groups.size());
-    for (const auto& [k, acc] : groups) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    for (int32_t k : keys) {
-      const uint32_t row = results_.AddRow();
-      results_.SetInt(0, row, k);
-      results_.SetInt(1, row, emit(groups.at(k)));
-    }
-  } else if (global.any || func_ == AggFunc::kCount) {
+  for (const auto& [key, value] : agg.Results()) {
     const uint32_t row = results_.AddRow();
-    results_.SetInt(0, row, emit(global));
+    size_t col = 0;
+    if (group_col_ >= 0) results_.SetInt(col++, row, key);
+    results_.SetInt(col, row, value);
   }
   ProfOpen();
   return Status::OK();
@@ -433,8 +391,8 @@ bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
     case PlanKind::kAggregate:
       return VectorizableSubtree(*node.left, ctx, hooks);
     case PlanKind::kHashJoin: {
-      // Spill-configured contexts use GraceHashJoinOp; stay on the tuple
-      // path so memory bounds keep holding.
+      // Only the tuple HashJoinOp spills: spill-configured contexts stay on
+      // the tuple path so memory bounds keep holding.
       if (ctx.spill.temp_array != nullptr) return false;
       // Non-int4 keys fall back to the tuple path, which only type-checks
       // keys it actually extracts (all-NULL inputs pass).

@@ -10,9 +10,9 @@
 // column-wise pass per batch via Predicate::FilterBatch).
 //
 // Vectorizable plan shapes are SeqScan (+ its predicate as a BatchFilterOp
-// over the decoded columns), in-memory HashJoin, and Aggregate. Everything
-// else — Sort, MergeJoin, NestLoopJoin, IndexScan, and the spilling
-// operators — stays tuple-at-a-time; BuildVectorizedTree bridges a batch
+// over the decoded columns), HashJoin when nothing may spill, and
+// Aggregate. Everything else — Sort, MergeJoin, NestLoopJoin, IndexScan,
+// and hash joins that may spill — stays tuple-at-a-time; BuildVectorizedTree bridges a batch
 // subtree into those consumers (and into fragments, the parallel master
 // and Drain) through a VectorizedAdapterOp, while BatchFromTupleOp makes
 // foreign tuple sources (materialized fragment inputs, and the driving
@@ -24,7 +24,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/batch.h"
@@ -145,9 +144,9 @@ class BatchFilterOp : public BatchOperator {
 };
 
 /// Batched hash join: drains the inner (build) input batch-at-a-time into
-/// a column store plus a key -> row-index table on Open, then streams
-/// probe batches from the outer input, emitting concatenated match rows.
-/// NULL keys never match. Both join key columns must be int4.
+/// a column store indexed by a JoinHashTable on Open, then streams probe
+/// batches from the outer input, emitting concatenated match rows. NULL
+/// keys never match. Both join key columns must be int4.
 class BatchHashJoinOp : public BatchOperator {
  public:
   BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
@@ -172,8 +171,8 @@ class BatchHashJoinOp : public BatchOperator {
   const ExecContext ctx_;
   Schema schema_;
 
-  ColumnBatch build_;  ///< dense column store of the build side
-  std::unordered_multimap<int32_t, uint32_t> table_;  ///< key -> build row
+  ColumnBatch build_;    ///< dense column store of the build side
+  JoinHashTable table_;  ///< its rows by key
   ColumnBatch scratch_;  ///< build-drain scratch batch
   ColumnBatch probe_;
   uint32_t probe_pos_ = 0;
@@ -182,7 +181,7 @@ class BatchHashJoinOp : public BatchOperator {
   std::vector<uint8_t> emit_mask_;  ///< empty = emit every column
 };
 
-/// Batched hash aggregation: drains its child on Open (one accumulator
+/// Batched hash aggregation: drains its child on Open (one Aggregation
 /// update per active row, read directly from the columns), emits one row
 /// per group in key order. Mirrors AggregateOp's NULL semantics exactly.
 class BatchAggregateOp : public BatchOperator {
@@ -265,9 +264,9 @@ struct BatchLeafHooks {
 };
 
 /// True when the whole subtree rooted at `node` compiles to a batch
-/// pipeline: SeqScan / HashJoin / Aggregate nodes (hash joins defer to
-/// GraceHashJoinOp when spilling is configured) plus hook-substituted
-/// leaves. `hooks` may be null.
+/// pipeline: SeqScan / HashJoin / Aggregate nodes (hash joins stay on the
+/// tuple path, which spills, when spilling is configured) plus
+/// hook-substituted leaves. `hooks` may be null.
 bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
                          const BatchLeafHooks* hooks);
 

@@ -338,8 +338,10 @@ StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Build(
       XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer,
                             Build(node->left.get()));
       const PlanNode* build_side = node->right.get();
-      if (ctx_.spill.temp_array == nullptr && Blocked(build_side)) {
+      if (Blocked(build_side)) {
         // Every prober of a materialized build input shares its one index.
+        // Its rows already sit in shared memory: spilling a copy of them
+        // would bound nothing.
         XPRS_ASSIGN_OR_RETURN(const TempResult* temp, Input(build_side));
         op = std::make_unique<HashJoinOp>(std::move(outer), temp,
                                           node->left_key, node->right_key);
@@ -347,15 +349,9 @@ StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Build(
       }
       XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
                             Build(build_side));
-      if (ctx_.spill.temp_array != nullptr) {
-        op = std::make_unique<GraceHashJoinOp>(std::move(outer),
-                                               std::move(inner),
-                                               node->left_key,
-                                               node->right_key, ctx_.spill);
-      } else {
-        op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
-                                          node->left_key, node->right_key);
-      }
+      op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
+                                        node->left_key, node->right_key,
+                                        ctx_.spill);
       break;
     }
   }

@@ -1,8 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <atomic>
 #include <tuple>
-#include <unordered_map>
 
 #include "exec/page_partition.h"
 #include "exec/range_partition.h"
@@ -61,16 +61,8 @@ Status SeqScanOp::LoadPage(uint32_t page_index) {
       return live;
     }
   }
-  if (ctx_.pool != nullptr) {
-    XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(page_index));
-    auto handle = FetchWithBackpressure(ctx_, block);
-    if (!handle.ok()) return handle.status();
-    pooled_page_ = std::move(handle).value();
-    current_ = &pooled_page_.page();
-  } else {
-    XPRS_RETURN_IF_ERROR(table_->file().ReadPage(page_index, &direct_page_));
-    current_ = &direct_page_;
-  }
+  XPRS_ASSIGN_OR_RETURN(current_, ReadTablePage(ctx_, *table_, page_index,
+                                                &pooled_page_, &direct_page_));
   ++pages_read_;
   ProfPagesRead(1);
   page_loaded_ = true;
@@ -160,19 +152,15 @@ Status IndexScanOp::Next(Tuple* out, bool* eof) {
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
     TupleId tid = it_->tid();
     it_->Next();
-    Tuple tuple;
-    if (ctx_.pool != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(tid.page));
-      auto handle = FetchWithBackpressure(ctx_, block);
-      if (!handle.ok()) return handle.status();
-      const uint8_t* data;
-      uint16_t size;
-      XPRS_RETURN_IF_ERROR(handle->page().GetTuple(tid.slot, &data, &size));
-      XPRS_ASSIGN_OR_RETURN(tuple,
-                            Tuple::Deserialize(table_->schema(), data, size));
-    } else {
-      XPRS_ASSIGN_OR_RETURN(tuple, table_->file().ReadTuple(tid));
-    }
+    PageHandle pin;  // held for this tuple's decode only
+    XPRS_ASSIGN_OR_RETURN(
+        const Page* page,
+        ReadTablePage(ctx_, *table_, tid.page, &pin, &direct_page_));
+    const uint8_t* data;
+    uint16_t size;
+    XPRS_RETURN_IF_ERROR(page->GetTuple(tid.slot, &data, &size));
+    XPRS_ASSIGN_OR_RETURN(Tuple tuple,
+                          Tuple::Deserialize(table_->schema(), data, size));
     ++tuples_fetched_;
     ProfPagesRead(1);  // one random page per fetched tuple (§3)
     if (ProfEval(predicate_, tuple)) {
@@ -272,20 +260,12 @@ uint32_t JoinHashTable::BucketOf(int32_t key) const {
   return bits_ == 0 ? 0 : h >> (32 - bits_);
 }
 
-void JoinHashTable::Build(const std::vector<Tuple>& rows, size_t key) {
-  XPRS_CHECK_LT(rows.size(), size_t{UINT32_MAX});
-  std::vector<int32_t> keys;
-  std::vector<uint32_t> positions;
-  keys.reserve(rows.size());
-  positions.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    int32_t k;
-    if (!GetKey(rows[i], key, &k)) continue;
-    keys.push_back(k);
-    positions.push_back(static_cast<uint32_t>(i));
-  }
+void JoinHashTable::Build(const std::vector<int32_t>& keys,
+                          const std::vector<uint32_t>& rows) {
+  XPRS_CHECK_EQ(keys.size(), rows.size());
+  XPRS_CHECK_LT(keys.size(), size_t{UINT32_MAX});
   // One bucket per entry, rounded up to a power of two; a counting sort
-  // groups the entries by bucket and keeps row order within each.
+  // groups the entries by bucket and keeps their order within each.
   bits_ = 0;
   while ((size_t{1} << bits_) < keys.size()) ++bits_;
   const size_t num_buckets = size_t{1} << bits_;
@@ -299,8 +279,23 @@ void JoinHashTable::Build(const std::vector<Tuple>& rows, size_t key) {
   for (size_t i = 0; i < keys.size(); ++i) {
     const uint32_t entry = fill[BucketOf(keys[i])]++;
     keys_[entry] = keys[i];
-    rows_[entry] = positions[i];
+    rows_[entry] = rows[i];
   }
+}
+
+void JoinHashTable::Build(const std::vector<Tuple>& rows, size_t key) {
+  XPRS_CHECK_LT(rows.size(), size_t{UINT32_MAX});
+  std::vector<int32_t> keys;
+  std::vector<uint32_t> positions;
+  keys.reserve(rows.size());
+  positions.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    int32_t k;
+    if (!GetKey(rows[i], key, &k)) continue;
+    keys.push_back(k);
+    positions.push_back(static_cast<uint32_t>(i));
+  }
+  Build(keys, positions);
 }
 
 void JoinHashTable::Clear() {
@@ -320,13 +315,15 @@ std::pair<uint32_t, uint32_t> JoinHashTable::Bucket(int32_t key) const {
 
 HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
                        std::unique_ptr<Operator> inner, size_t left_key,
-                       size_t right_key)
+                       size_t right_key, const SpillConfig& spill)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       build_(nullptr),
       left_key_(left_key),
       right_key_(right_key),
-      schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
+      spill_(spill),
+      schema_(Schema::Concat(outer_->schema(), inner_->schema())),
+      probe_(outer_.get()) {}
 
 HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
                        const TempResult* build, size_t left_key,
@@ -335,16 +332,21 @@ HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
       build_(build),
       left_key_(left_key),
       right_key_(right_key),
-      schema_(Schema::Concat(outer_->schema(), build->schema)) {}
+      schema_(Schema::Concat(outer_->schema(), build->schema)),
+      probe_(outer_.get()) {}
 
 Status HashJoinOp::Open() {
   Status st = OpenImpl();
   if (!st.ok()) {
-    // A failed build must not leak the open inner child (or its pinned
-    // buffer frames): Drain and the blocking consumers above skip Close
-    // after a failed Open. Closes are tolerant of never-opened children.
+    // A failed build must not leak the open inputs (or their pinned
+    // buffer frames) nor the partition files: Drain and the blocking
+    // consumers above skip Close after a failed Open. Closes are tolerant
+    // of never-opened children.
     owned_rows_.clear();
     owned_table_.Clear();
+    partition_probe_.tuples.clear();
+    build_parts_.clear();
+    probe_parts_.clear();
     if (inner_ != nullptr) (void)inner_->Close();
     (void)outer_->Close();
   }
@@ -353,6 +355,8 @@ Status HashJoinOp::Open() {
 
 Status HashJoinOp::OpenImpl() {
   entry_ = entry_end_ = 0;
+  spilled_ = false;
+  probe_ = outer_.get();
   if (build_ != nullptr) {
     size_t inserted = 0;
     table_ = &build_->JoinIndex(right_key_, &inserted);
@@ -360,7 +364,7 @@ Status HashJoinOp::OpenImpl() {
     ProfBuildRows(inserted);
     return outer_->Open();
   }
-  // Blocking build phase.
+  // Blocking build phase; past the memory budget the join spills.
   owned_rows_.clear();
   XPRS_RETURN_IF_ERROR(inner_->Open());
   for (;;) {
@@ -370,13 +374,101 @@ Status HashJoinOp::OpenImpl() {
     if (eof) break;
     if (IsNull(tuple.value(right_key_))) continue;  // joins nothing
     owned_rows_.push_back(std::move(tuple));
+    if (spill_.temp_array != nullptr &&
+        owned_rows_.size() > spill_.memory_tuples)
+      return Spill();
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
+  IndexOwnedRows();
+  return outer_->Open();
+}
+
+void HashJoinOp::IndexOwnedRows() {
   owned_table_.Build(owned_rows_, right_key_);
   ProfBuildRows(owned_table_.size());
   table_ = &owned_table_;
   rows_ = &owned_rows_;
-  return outer_->Open();
+}
+
+// Grace hash join: partitions the held build rows, the rest of the build
+// input and the whole probe input, then stages partition 0. Next moves to
+// each further partition when the one before is probed out.
+Status HashJoinOp::Spill() {
+  spilled_ = true;
+  XPRS_RETURN_IF_ERROR(
+      Partition(owned_rows_, inner_.get(), right_key_, &build_parts_));
+  owned_rows_.clear();
+  XPRS_RETURN_IF_ERROR(outer_->Open());
+  XPRS_RETURN_IF_ERROR(
+      Partition({}, outer_.get(), left_key_, &probe_parts_));
+  partition_probe_.schema = outer_->schema();
+  return LoadPartition(0);
+}
+
+// Routes `held`, then the rest of the open `input` (closed afterwards), to
+// kSpillPartitions new temp files by a hash of column `key`.
+Status HashJoinOp::Partition(const std::vector<Tuple>& held, Operator* input,
+                             size_t key, Partitions* parts) {
+  parts->clear();
+  for (int i = 0; i < kSpillPartitions; ++i) {
+    parts->push_back(std::make_unique<HeapFile>(
+        NextTempName("tmp_grace"), input->schema(), spill_.temp_array));
+  }
+  auto route = [&](const Tuple& tuple) -> Status {
+    int32_t k;
+    if (!GetKey(tuple, key, &k)) return Status::OK();  // joins nothing
+    // Cheap integer hash spreading adjacent keys across partitions.
+    const uint32_t h = static_cast<uint32_t>(k) * 2654435761u;
+    return (*parts)[h % kSpillPartitions]->Append(tuple);
+  };
+  for (const Tuple& tuple : held) XPRS_RETURN_IF_ERROR(route(tuple));
+  for (;;) {
+    Tuple tuple;
+    bool eof;
+    XPRS_RETURN_IF_ERROR(input->Next(&tuple, &eof));
+    if (eof) break;
+    XPRS_RETURN_IF_ERROR(route(tuple));
+  }
+  XPRS_RETURN_IF_ERROR(input->Close());
+  uint64_t pages = 0;
+  for (auto& file : *parts) {
+    XPRS_RETURN_IF_ERROR(file->Flush());
+    pages += file->num_pages();
+  }
+  ProfPagesWritten(pages);
+  ProfSpill(pages * kPageSize, /*runs=*/parts->size());
+  return Status::OK();
+}
+
+Status HashJoinOp::ReadPartition(const HeapFile& file,
+                                 std::vector<Tuple>* rows) {
+  rows->clear();
+  Page page;
+  for (uint32_t p = 0; p < file.num_pages(); ++p) {
+    XPRS_RETURN_IF_ERROR(file.ReadPage(p, &page));
+    ProfPagesRead(1);
+    for (uint16_t s = 0; s < page.num_tuples(); ++s) {
+      const uint8_t* data;
+      uint16_t size;
+      XPRS_RETURN_IF_ERROR(page.GetTuple(s, &data, &size));
+      XPRS_ASSIGN_OR_RETURN(Tuple tuple,
+                            Tuple::Deserialize(file.schema(), data, size));
+      rows->push_back(std::move(tuple));
+    }
+  }
+  return Status::OK();
+}
+
+// Indexes partition `index`'s build rows and makes its probe rows the
+// probe input.
+Status HashJoinOp::LoadPartition(int index) {
+  partition_ = index;
+  XPRS_RETURN_IF_ERROR(ReadPartition(*build_parts_[index], &owned_rows_));
+  IndexOwnedRows();
+  XPRS_RETURN_IF_ERROR(
+      ReadPartition(*probe_parts_[index], &partition_probe_.tuples));
+  probe_ = &partition_source_;
+  return partition_source_.Open();
 }
 
 Status HashJoinOp::Next(Tuple* out, bool* eof) {
@@ -390,8 +482,12 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
       }
     }
     bool outer_eof;
-    XPRS_RETURN_IF_ERROR(outer_->Next(&outer_tuple_, &outer_eof));
+    XPRS_RETURN_IF_ERROR(probe_->Next(&outer_tuple_, &outer_eof));
     if (outer_eof) {
+      if (spilled_ && partition_ + 1 < kSpillPartitions) {
+        XPRS_RETURN_IF_ERROR(LoadPartition(partition_ + 1));
+        continue;
+      }
       *eof = true;
       return Status::OK();
     }
@@ -403,8 +499,12 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
 Status HashJoinOp::Close() {
   owned_rows_.clear();
   owned_table_.Clear();
+  partition_probe_.tuples.clear();
+  build_parts_.clear();
+  probe_parts_.clear();
   entry_ = entry_end_ = 0;
-  return outer_->Close();
+  // A spilled join closed its inputs when it partitioned them.
+  return probe_->Close();
 }
 
 // -------------------------------------------------------------- MergeJoin
@@ -516,6 +616,33 @@ Status MergeJoinOp::Close() {
 
 // -------------------------------------------------------------- Aggregate
 
+int32_t Aggregation::Final(const Acc& acc) const {
+  switch (func_) {
+    case AggFunc::kCount:
+      return static_cast<int32_t>(acc.count);
+    case AggFunc::kSum:
+      return static_cast<int32_t>(acc.sum);
+    case AggFunc::kMin:
+      return acc.min;
+    case AggFunc::kMax:
+      return acc.max;
+  }
+  return 0;
+}
+
+std::vector<std::pair<int32_t, int32_t>> Aggregation::Results() const {
+  std::vector<std::pair<int32_t, int32_t>> out;
+  if (!grouped_) {
+    if (global_.any || func_ == AggFunc::kCount)
+      out.emplace_back(0, Final(global_));
+    return out;
+  }
+  out.reserve(groups_.size());
+  for (const auto& [key, acc] : groups_) out.emplace_back(key, Final(acc));
+  std::sort(out.begin(), out.end());  // deterministic order: by group key
+  return out;
+}
+
 AggregateOp::AggregateOp(std::unique_ptr<Operator> child, Schema output_schema,
                          AggFunc func, size_t agg_col, int group_col)
     : child_(std::move(child)),
@@ -538,17 +665,7 @@ Status AggregateOp::Open() {
 Status AggregateOp::OpenImpl() {
   results_.clear();
   pos_ = 0;
-
-  struct Acc {
-    int64_t count = 0;
-    int64_t sum = 0;
-    int32_t min = 0;
-    int32_t max = 0;
-    bool any = false;
-  };
-  std::unordered_map<int32_t, Acc> groups;
-  Acc global;
-
+  Aggregation agg(func_, group_col_ >= 0);
   XPRS_RETURN_IF_ERROR(child_->Open());
   for (;;) {
     Tuple tuple;
@@ -560,45 +677,16 @@ Status AggregateOp::OpenImpl() {
     const int32_t* value = std::get_if<int32_t>(&v);
     if (value == nullptr)
       return Status::InvalidArgument("aggregate column must be int4");
-
-    Acc* acc = &global;
-    if (group_col_ >= 0) {
-      int32_t key;
-      if (!GetKey(tuple, static_cast<size_t>(group_col_), &key)) continue;
-      acc = &groups[key];
-    }
-    ++acc->count;
-    acc->sum += *value;
-    if (!acc->any || *value < acc->min) acc->min = *value;
-    if (!acc->any || *value > acc->max) acc->max = *value;
-    acc->any = true;
+    int32_t key = 0;
+    if (group_col_ >= 0 &&
+        !GetKey(tuple, static_cast<size_t>(group_col_), &key))
+      continue;
+    agg.Add(key, *value);
   }
   XPRS_RETURN_IF_ERROR(child_->Close());
-
-  auto emit = [this](const Acc& acc) -> int32_t {
-    switch (func_) {
-      case AggFunc::kCount:
-        return static_cast<int32_t>(acc.count);
-      case AggFunc::kSum:
-        return static_cast<int32_t>(acc.sum);
-      case AggFunc::kMin:
-        return acc.min;
-      case AggFunc::kMax:
-        return acc.max;
-    }
-    return 0;
-  };
-
-  if (group_col_ >= 0) {
-    // Deterministic output order: by group key.
-    std::vector<int32_t> keys;
-    keys.reserve(groups.size());
-    for (const auto& [k, acc] : groups) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    for (int32_t k : keys)
-      results_.push_back(Tuple({Value(k), Value(emit(groups.at(k)))}));
-  } else if (global.any || func_ == AggFunc::kCount) {
-    results_.push_back(Tuple({Value(emit(global))}));
+  for (const auto& [key, value] : agg.Results()) {
+    results_.push_back(group_col_ >= 0 ? Tuple({Value(key), Value(value)})
+                                       : Tuple({Value(value)}));
   }
   return Status::OK();
 }
@@ -690,6 +778,27 @@ std::unique_ptr<Operator> MaybeCancelGuard(std::unique_ptr<Operator> op,
                                            CancellationToken* token) {
   if (token == nullptr) return op;
   return std::make_unique<CancelGuardOp>(std::move(op), token);
+}
+
+// ------------------------------------------------------------ page reads
+
+StatusOr<const Page*> ReadTablePage(const ExecContext& ctx,
+                                    const Table& table, uint32_t page,
+                                    PageHandle* pin, Page* direct) {
+  if (ctx.pool == nullptr) {
+    XPRS_RETURN_IF_ERROR(table.file().ReadPage(page, direct));
+    return direct;
+  }
+  XPRS_ASSIGN_OR_RETURN(BlockId block, table.file().BlockOf(page));
+  XPRS_ASSIGN_OR_RETURN(*pin, FetchWithBackpressure(ctx, block));
+  return &pin->page();
+}
+
+std::string NextTempName(const char* prefix) {
+  static std::atomic<int64_t> counter{0};
+  return StrFormat("%s_%lld", prefix,
+                   static_cast<long long>(
+                       counter.fetch_add(1, std::memory_order_relaxed)));
 }
 
 // ---------------------------------------------------- FetchWithBackpressure

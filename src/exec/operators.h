@@ -6,6 +6,10 @@
 // scan class: alone it reads its whole extent; given a shared adjustable
 // partition (exec/page_partition.h, exec/range_partition.h) it is one slave
 // of a parallel scan and reads only the granules handed to its slot (§2.4).
+// Every hash join indexes its build side in one JoinHashTable, and the one
+// tuple hash join is also the spilling (grace) join of the §5 memory
+// extension; the one Aggregation accumulator serves both aggregate
+// operators.
 
 #ifndef XPRS_EXEC_OPERATORS_H_
 #define XPRS_EXEC_OPERATORS_H_
@@ -14,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,11 +34,11 @@ namespace xprs {
 class AdjustablePageScan;
 class AdjustableRangeScan;
 
-/// Spill configuration for memory-bounded operators (external sort,
-/// grace hash join).
+/// Spill configuration for memory-bounded operators (external sort, hash
+/// join).
 struct SpillConfig {
   /// Disk array temporary files are written to. nullptr = never spill
-  /// (sorts stay in memory; hash joins use the in-memory HashJoinOp).
+  /// (sorts and hash joins stay in memory).
   DiskArray* temp_array = nullptr;
   /// Maximum tuples held in memory per operator before spilling.
   size_t memory_tuples = 4096;
@@ -44,8 +49,8 @@ struct ExecContext {
   /// When set, page reads go through this pool; otherwise directly to the
   /// disk array.
   BufferPool* pool = nullptr;
-  /// When spill.temp_array is set, plan builders produce spilling Sort and
-  /// HashJoin operators bounded by spill.memory_tuples (§5 extension).
+  /// When spill.temp_array is set, Sort and HashJoin operators spill past
+  /// spill.memory_tuples (§5 extension).
   SpillConfig spill;
   /// When set, the plan builders bind every operator to the matching
   /// OperatorStats and insert the timing decorator — the EXPLAIN ANALYZE
@@ -187,6 +192,7 @@ class IndexScanOp : public Operator {
   AdjustableRangeScan* const ranges_;
   const int slot_;
   std::optional<BTreeIndex::Iterator> it_;
+  Page direct_page_;  // used when no buffer pool
   uint64_t tuples_fetched_ = 0;
 };
 
@@ -228,11 +234,16 @@ class NestLoopJoinOp : public Operator {
 /// A hash join's build side: the join keys and the positions of their rows
 /// in flat arrays grouped by hash bucket (a key/value column layout), over
 /// rows the table does not hold. Read-only once built, so any number of
-/// probers can share one.
+/// probers can share one. Every hash join builds one: the tuple join (each
+/// spilled partition too), the batch join and a materialized fragment input.
 class JoinHashTable {
  public:
+  /// Indexes the entries (keys[i], rows[i]) in order, replacing any
+  /// previous contents.
+  void Build(const std::vector<int32_t>& keys,
+             const std::vector<uint32_t>& rows);
   /// Indexes the rows of `rows` whose column `key` is not NULL, in row
-  /// order, replacing any previous contents.
+  /// order.
   void Build(const std::vector<Tuple>& rows, size_t key);
   void Clear();
 
@@ -253,100 +264,6 @@ class JoinHashTable {
   std::vector<uint32_t> bucket_start_;  // bucket b: [start[b], start[b+1])
   std::vector<int32_t> keys_;
   std::vector<uint32_t> rows_;
-};
-
-struct TempResult;
-
-/// Hash join: a blocking build of the inner (right) input into a
-/// JoinHashTable, then a pipelined probe by the outer side. The serial form
-/// drains the inner operator on Open and owns the rows; the fragment form
-/// probes a materialized fragment input through the index that input
-/// shares with every other prober (TempResult::JoinIndex).
-class HashJoinOp : public Operator {
- public:
-  HashJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
-             size_t left_key, size_t right_key);
-  HashJoinOp(std::unique_ptr<Operator> outer, const TempResult* build,
-             size_t left_key, size_t right_key);
-  Status Open() override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Status OpenImpl();
-
-  std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;  // serial form only
-  const TempResult* const build_;    // fragment form only
-  const size_t left_key_, right_key_;
-  Schema schema_;
-  std::vector<Tuple> owned_rows_;    // serial form: the build rows
-  JoinHashTable owned_table_;        // serial form: their index
-  const std::vector<Tuple>* rows_ = nullptr;
-  const JoinHashTable* table_ = nullptr;
-  Tuple outer_tuple_;
-  int32_t probe_key_ = 0;
-  uint32_t entry_ = 0, entry_end_ = 0;  // unvisited part of the bucket
-};
-
-/// Merge join over two inputs sorted on their keys; buffers one inner key
-/// group to handle duplicate outer keys.
-class MergeJoinOp : public Operator {
- public:
-  MergeJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
-              size_t left_key, size_t right_key);
-  Status Open() override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Status OpenImpl();
-  Status AdvanceOuter();
-  Status LoadInnerGroup(int32_t key);
-
-  std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;
-  const size_t left_key_, right_key_;
-  Schema schema_;
-
-  Tuple outer_tuple_;
-  bool outer_eof_ = false;
-  bool have_outer_ = false;
-
-  Tuple inner_pending_;      // next inner tuple past the buffered group
-  bool have_inner_pending_ = false;
-  bool inner_eof_ = false;
-
-  std::vector<Tuple> group_;  // buffered inner tuples with group_key_
-  bool have_group_ = false;
-  int32_t group_key_ = 0;
-  size_t group_pos_ = 0;
-};
-
-/// Hash aggregation: drains its input on Open (a blocking edge), emits
-/// one row per group — [group key,] aggregate value. NULL inputs are
-/// skipped (SQL semantics); count counts non-null values of the column.
-class AggregateOp : public Operator {
- public:
-  AggregateOp(std::unique_ptr<Operator> child, Schema output_schema,
-              AggFunc func, size_t agg_col, int group_col);
-  Status Open() override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Status OpenImpl();
-
-  std::unique_ptr<Operator> child_;
-  const Schema schema_;
-  const AggFunc func_;
-  const size_t agg_col_;
-  const int group_col_;
-  std::vector<Tuple> results_;
-  size_t pos_ = 0;
 };
 
 /// A materialized intermediate result living in shared memory.
@@ -394,6 +311,173 @@ class TempSourceOp : public Operator {
   size_t end_ = 0;  // end of the current batch (of all rows, unpartitioned)
 };
 
+/// Hash join: a blocking build of the inner (right) input into a
+/// JoinHashTable, then a pipelined probe by the outer side. The serial form
+/// drains the inner operator on Open and owns the rows. Given a temp array
+/// it is also the grace hash join of the §5 memory extension: once the
+/// build rows it holds (NULL keys join nothing and are dropped first)
+/// outgrow spill.memory_tuples, it hash-partitions those rows, the rest of
+/// the build input and the whole probe input into kSpillPartitions
+/// temporary heap files per side, then joins each partition pair in memory
+/// with the same table and probe loop. The fragment form probes a
+/// materialized fragment input through the index that input shares with
+/// every other prober (TempResult::JoinIndex); it never spills, as those
+/// rows already sit in shared memory.
+class HashJoinOp : public Operator {
+ public:
+  /// Temporary files per side of a spilled join.
+  static constexpr int kSpillPartitions = 8;
+
+  HashJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
+             size_t left_key, size_t right_key,
+             const SpillConfig& spill = SpillConfig());
+  HashJoinOp(std::unique_ptr<Operator> outer, const TempResult* build,
+             size_t left_key, size_t right_key);
+  Status Open() override;
+  Status Next(Tuple* out, bool* eof) override;
+  Status Close() override;
+  const Schema& schema() const override { return schema_; }
+
+  /// True when the last Open spilled (the build side outgrew the budget).
+  bool spilled() const { return spilled_; }
+
+  /// Partition files currently held open (0 after Close or a failed Open).
+  size_t open_partitions() const {
+    return build_parts_.size() + probe_parts_.size();
+  }
+
+ private:
+  using Partitions = std::vector<std::unique_ptr<HeapFile>>;
+
+  Status OpenImpl();
+  void IndexOwnedRows();
+  Status Spill();
+  Status Partition(const std::vector<Tuple>& held, Operator* input,
+                   size_t key, Partitions* parts);
+  Status ReadPartition(const HeapFile& file, std::vector<Tuple>* rows);
+  Status LoadPartition(int index);
+
+  std::unique_ptr<Operator> outer_;
+  std::unique_ptr<Operator> inner_;  // serial form only
+  const TempResult* const build_;    // fragment form only
+  const size_t left_key_, right_key_;
+  const SpillConfig spill_;
+  Schema schema_;
+  std::vector<Tuple> owned_rows_;    // serial form: the build rows
+  JoinHashTable owned_table_;        // serial form: their index
+  const std::vector<Tuple>* rows_ = nullptr;
+  const JoinHashTable* table_ = nullptr;
+  Operator* probe_;  // outer_, or the spilled partition's probe rows
+  Tuple outer_tuple_;
+  int32_t probe_key_ = 0;
+  uint32_t entry_ = 0, entry_end_ = 0;  // unvisited part of the bucket
+
+  // Spilled: owned_rows_ and owned_table_ hold partition partition_.
+  bool spilled_ = false;
+  Partitions build_parts_;
+  Partitions probe_parts_;
+  int partition_ = 0;
+  TempResult partition_probe_;
+  TempSourceOp partition_source_{&partition_probe_};
+};
+
+/// Merge join over two inputs sorted on their keys; buffers one inner key
+/// group to handle duplicate outer keys.
+class MergeJoinOp : public Operator {
+ public:
+  MergeJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
+              size_t left_key, size_t right_key);
+  Status Open() override;
+  Status Next(Tuple* out, bool* eof) override;
+  Status Close() override;
+  const Schema& schema() const override { return schema_; }
+
+ private:
+  Status OpenImpl();
+  Status AdvanceOuter();
+  Status LoadInnerGroup(int32_t key);
+
+  std::unique_ptr<Operator> outer_;
+  std::unique_ptr<Operator> inner_;
+  const size_t left_key_, right_key_;
+  Schema schema_;
+
+  Tuple outer_tuple_;
+  bool outer_eof_ = false;
+  bool have_outer_ = false;
+
+  Tuple inner_pending_;      // next inner tuple past the buffered group
+  bool have_inner_pending_ = false;
+  bool inner_eof_ = false;
+
+  std::vector<Tuple> group_;  // buffered inner tuples with group_key_
+  bool have_group_ = false;
+  int32_t group_key_ = 0;
+  size_t group_pos_ = 0;
+};
+
+/// An aggregate's accumulator, fed by AggregateOp and BatchAggregateOp:
+/// a running count, sum, min and max per group (or for the one global
+/// group). The operators skip NULL inputs and check types themselves.
+class Aggregation {
+ public:
+  Aggregation(AggFunc func, bool grouped) : func_(func), grouped_(grouped) {}
+
+  /// Folds `value` into group `key` (ignored when not grouped).
+  void Add(int32_t key, int32_t value) {
+    Acc& acc = grouped_ ? groups_[key] : global_;
+    ++acc.count;
+    acc.sum += value;
+    if (!acc.any || value < acc.min) acc.min = value;
+    if (!acc.any || value > acc.max) acc.max = value;
+    acc.any = true;
+  }
+
+  /// (group key, aggregate value) per group in key order. Not grouped: one
+  /// pair with key 0, or none when no value was added and the function is
+  /// not count.
+  std::vector<std::pair<int32_t, int32_t>> Results() const;
+
+ private:
+  struct Acc {
+    int64_t count = 0;
+    int64_t sum = 0;
+    int32_t min = 0;
+    int32_t max = 0;
+    bool any = false;
+  };
+  int32_t Final(const Acc& acc) const;
+
+  const AggFunc func_;
+  const bool grouped_;
+  std::unordered_map<int32_t, Acc> groups_;
+  Acc global_;
+};
+
+/// Hash aggregation: drains its input on Open (a blocking edge), emits
+/// one row per group — [group key,] aggregate value. NULL inputs are
+/// skipped (SQL semantics); count counts non-null values of the column.
+class AggregateOp : public Operator {
+ public:
+  AggregateOp(std::unique_ptr<Operator> child, Schema output_schema,
+              AggFunc func, size_t agg_col, int group_col);
+  Status Open() override;
+  Status Next(Tuple* out, bool* eof) override;
+  Status Close() override;
+  const Schema& schema() const override { return schema_; }
+
+ private:
+  Status OpenImpl();
+
+  std::unique_ptr<Operator> child_;
+  const Schema schema_;
+  const AggFunc func_;
+  const size_t agg_col_;
+  const int group_col_;
+  std::vector<Tuple> results_;
+  size_t pos_ = 0;
+};
+
 /// Cancellation decorator inserted by the plan builders when ctx.cancel is
 /// set. Open() checks the token before any work (a 0 ms deadline fails at
 /// the root without touching storage); Next() tests the cancelled flag on
@@ -420,6 +504,17 @@ class CancelGuardOp : public Operator {
 /// Wraps `op` in a CancelGuardOp when `token` is non-null.
 std::unique_ptr<Operator> MaybeCancelGuard(std::unique_ptr<Operator> op,
                                            CancellationToken* token);
+
+/// Reads page `page` of `table`: through ctx.pool with backpressure, into
+/// *pin, or without a pool straight from the disk array into *direct.
+/// Returns the page read, valid while *pin (or *direct) is.
+StatusOr<const Page*> ReadTablePage(const ExecContext& ctx,
+                                    const Table& table, uint32_t page,
+                                    PageHandle* pin, Page* direct);
+
+/// A fresh name for a temporary (spill) heap file: `prefix` plus a
+/// process-wide sequence number.
+std::string NextTempName(const char* prefix);
 
 /// Fetches `block` through ctx.pool (which must be set), absorbing
 /// transient backpressure: ResourceExhausted — the pool's admission

@@ -1,33 +1,10 @@
 #include "exec/spill_ops.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/check.h"
-#include "util/str.h"
 
 namespace xprs {
-
-namespace {
-
-std::atomic<int64_t> g_temp_counter{0};
-
-std::string NextTempName(const char* prefix) {
-  return StrFormat("%s_%lld", prefix,
-                   static_cast<long long>(
-                       g_temp_counter.fetch_add(1, std::memory_order_relaxed)));
-}
-
-bool KeyOf(const Tuple& tuple, size_t column, int32_t* key) {
-  const Value& v = tuple.value(column);
-  if (IsNull(v)) return false;
-  const int32_t* k = std::get_if<int32_t>(&v);
-  XPRS_CHECK_MSG(k != nullptr, "key column must be int4");
-  *key = *k;
-  return true;
-}
-
-}  // namespace
 
 // ----------------------------------------------------------- ExternalSort
 
@@ -174,229 +151,6 @@ Status ExternalSortOp::Next(Tuple* out, bool* eof) {
 Status ExternalSortOp::Close() {
   rows_.clear();
   runs_.clear();
-  return Status::OK();
-}
-
-// ---------------------------------------------------------- GraceHashJoin
-
-GraceHashJoinOp::GraceHashJoinOp(std::unique_ptr<Operator> outer,
-                                 std::unique_ptr<Operator> inner,
-                                 size_t left_key, size_t right_key,
-                                 const SpillConfig& config,
-                                 int num_partitions)
-    : outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      left_key_(left_key),
-      right_key_(right_key),
-      config_(config),
-      num_partitions_(num_partitions),
-      schema_(Schema::Concat(outer_->schema(), inner_->schema())) {
-  XPRS_CHECK_GE(num_partitions, 2);
-}
-
-Status GraceHashJoinOp::ScanFile(
-    HeapFile* file, const Schema& schema,
-    const std::function<Status(Tuple)>& sink) {
-  Page page;
-  for (uint32_t p = 0; p < file->num_pages(); ++p) {
-    XPRS_RETURN_IF_ERROR(file->ReadPage(p, &page));
-    ProfPagesRead(1);
-    for (uint16_t s = 0; s < page.num_tuples(); ++s) {
-      const uint8_t* data;
-      uint16_t size;
-      XPRS_RETURN_IF_ERROR(page.GetTuple(s, &data, &size));
-      XPRS_ASSIGN_OR_RETURN(Tuple tuple,
-                            Tuple::Deserialize(schema, data, size));
-      XPRS_RETURN_IF_ERROR(sink(std::move(tuple)));
-    }
-  }
-  return Status::OK();
-}
-
-Status GraceHashJoinOp::PartitionInput(
-    Operator* input, const Schema& schema, size_t key,
-    std::vector<std::unique_ptr<HeapFile>>* parts) {
-  parts->clear();
-  for (int i = 0; i < num_partitions_; ++i) {
-    parts->push_back(std::make_unique<HeapFile>(
-        NextTempName("tmp_grace"), schema, config_.temp_array));
-  }
-  for (;;) {
-    Tuple tuple;
-    bool eof;
-    XPRS_RETURN_IF_ERROR(input->Next(&tuple, &eof));
-    if (eof) break;
-    int32_t k;
-    if (!KeyOf(tuple, key, &k)) continue;  // NULL keys join nothing
-    // Cheap integer hash spreading adjacent keys across partitions.
-    uint32_t h = static_cast<uint32_t>(k) * 2654435761u;
-    XPRS_RETURN_IF_ERROR(
-        (*parts)[h % static_cast<uint32_t>(num_partitions_)]->Append(tuple));
-  }
-  for (auto& f : *parts) XPRS_RETURN_IF_ERROR(f->Flush());
-  uint64_t pages = 0;
-  for (auto& f : *parts) pages += f->num_pages();
-  ProfPagesWritten(pages);
-  ProfSpill(pages * kPageSize, /*runs=*/parts->size());
-  return Status::OK();
-}
-
-Status GraceHashJoinOp::LoadPartition(int index) {
-  table_.clear();
-  probe_rows_.clear();
-  probe_pos_ = 0;
-  XPRS_RETURN_IF_ERROR(ScanFile(
-      build_parts_[index].get(), inner_->schema(), [this](Tuple t) {
-        int32_t k;
-        if (KeyOf(t, right_key_, &k)) table_.emplace(k, std::move(t));
-        return Status::OK();
-      }));
-  ProfBuildRows(table_.size());
-  XPRS_RETURN_IF_ERROR(ScanFile(
-      probe_parts_[index].get(), outer_->schema(), [this](Tuple t) {
-        probe_rows_.push_back(std::move(t));
-        return Status::OK();
-      }));
-  return Status::OK();
-}
-
-Status GraceHashJoinOp::Open() {
-  Status st = OpenImpl();
-  if (!st.ok()) {
-    // As above: a failed Open is not Closed, so drop the partition files
-    // and staged state here, and close both inputs to release their pins.
-    table_.clear();
-    probe_rows_.clear();
-    build_parts_.clear();
-    probe_parts_.clear();
-    (void)outer_->Close();
-    (void)inner_->Close();
-  }
-  return st;
-}
-
-Status GraceHashJoinOp::OpenImpl() {
-  spilled_ = false;
-  table_.clear();
-  build_parts_.clear();
-  probe_parts_.clear();
-  probing_ = false;
-  current_partition_ = -1;
-
-  XPRS_RETURN_IF_ERROR(inner_->Open());
-  std::vector<Tuple> staged;
-  bool overflow = false;
-  for (;;) {
-    Tuple tuple;
-    bool eof;
-    XPRS_RETURN_IF_ERROR(inner_->Next(&tuple, &eof));
-    if (eof) break;
-    staged.push_back(std::move(tuple));
-    if (staged.size() > config_.memory_tuples) {
-      overflow = true;
-      break;
-    }
-  }
-
-  if (!overflow) {
-    // Fits: classic in-memory hash join over the staged build side.
-    XPRS_RETURN_IF_ERROR(inner_->Close());
-    for (Tuple& t : staged) {
-      int32_t k;
-      if (KeyOf(t, right_key_, &k)) table_.emplace(k, std::move(t));
-    }
-    ProfBuildRows(table_.size());
-    return outer_->Open();
-  }
-
-  // Spill: partition the staged prefix plus the rest of the build input,
-  // then the whole probe input.
-  XPRS_CHECK_MSG(config_.temp_array != nullptr,
-                 "grace hash join needs a temp array to spill");
-  spilled_ = true;
-  build_parts_.clear();
-  for (int i = 0; i < num_partitions_; ++i) {
-    build_parts_.push_back(std::make_unique<HeapFile>(
-        NextTempName("tmp_grace"), inner_->schema(), config_.temp_array));
-  }
-  auto route = [this](const Tuple& t, size_t key,
-                      std::vector<std::unique_ptr<HeapFile>>* parts) {
-    int32_t k;
-    if (!KeyOf(t, key, &k)) return Status::OK();
-    uint32_t h = static_cast<uint32_t>(k) * 2654435761u;
-    return (*parts)[h % static_cast<uint32_t>(num_partitions_)]->Append(t);
-  };
-  for (const Tuple& t : staged)
-    XPRS_RETURN_IF_ERROR(route(t, right_key_, &build_parts_));
-  staged.clear();
-  for (;;) {
-    Tuple tuple;
-    bool eof;
-    XPRS_RETURN_IF_ERROR(inner_->Next(&tuple, &eof));
-    if (eof) break;
-    XPRS_RETURN_IF_ERROR(route(tuple, right_key_, &build_parts_));
-  }
-  XPRS_RETURN_IF_ERROR(inner_->Close());
-  for (auto& f : build_parts_) XPRS_RETURN_IF_ERROR(f->Flush());
-  uint64_t build_pages = 0;
-  for (auto& f : build_parts_) build_pages += f->num_pages();
-  ProfPagesWritten(build_pages);
-  ProfSpill(build_pages * kPageSize, /*runs=*/build_parts_.size());
-
-  XPRS_RETURN_IF_ERROR(outer_->Open());
-  XPRS_RETURN_IF_ERROR(
-      PartitionInput(outer_.get(), outer_->schema(), left_key_,
-                     &probe_parts_));
-  XPRS_RETURN_IF_ERROR(outer_->Close());
-
-  current_partition_ = 0;
-  return LoadPartition(0);
-}
-
-Status GraceHashJoinOp::Next(Tuple* out, bool* eof) {
-  *eof = false;
-  for (;;) {
-    if (probing_ && match_ != match_end_) {
-      *out = Tuple::Concat(probe_tuple_, match_->second);
-      ++match_;
-      return Status::OK();
-    }
-    probing_ = false;
-
-    if (!spilled_) {
-      bool outer_eof;
-      XPRS_RETURN_IF_ERROR(outer_->Next(&probe_tuple_, &outer_eof));
-      if (outer_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-    } else {
-      while (probe_pos_ >= probe_rows_.size()) {
-        ++current_partition_;
-        if (current_partition_ >= num_partitions_) {
-          *eof = true;
-          return Status::OK();
-        }
-        XPRS_RETURN_IF_ERROR(LoadPartition(current_partition_));
-      }
-      probe_tuple_ = std::move(probe_rows_[probe_pos_++]);
-    }
-
-    int32_t key;
-    if (!KeyOf(probe_tuple_, left_key_, &key)) continue;
-    auto [lo, hi] = table_.equal_range(key);
-    match_ = lo;
-    match_end_ = hi;
-    probing_ = true;
-  }
-}
-
-Status GraceHashJoinOp::Close() {
-  table_.clear();
-  probe_rows_.clear();
-  build_parts_.clear();
-  probe_parts_.clear();
-  if (!spilled_) return outer_->Close();
   return Status::OK();
 }
 

@@ -1,7 +1,8 @@
-// Spilling operators: external merge sort and grace hash join.
+// External merge sort, the spilling sort.
 //
-// The §5 memory extension prices grace-hash spills into the cost model;
-// these operators make that runtime behaviour real. Both bound their
+// The §5 memory extension prices spills into the cost model; this
+// operator and the hash join (HashJoinOp, exec/operators.h, which spills as
+// a grace hash join) make that runtime behaviour real. Both bound their
 // working memory to a tuple budget and overflow to temporary heap files on
 // the (timed) disk array, so a spilling plan actually pays the extra io
 // the optimizer charged it for.
@@ -9,7 +10,6 @@
 #ifndef XPRS_EXEC_SPILL_OPS_H_
 #define XPRS_EXEC_SPILL_OPS_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -70,59 +70,6 @@ class ExternalSortOp : public Operator {
   // Spilled path.
   std::vector<std::unique_ptr<RunCursor>> runs_;
   size_t runs_spilled_ = 0;
-};
-
-/// Grace hash join: when the build input exceeds the memory budget, both
-/// inputs are hash-partitioned to temporary heap files, then each
-/// partition pair is joined with an in-memory hash table. Without a temp
-/// array it CHECK-fails rather than silently exceeding the budget.
-class GraceHashJoinOp : public Operator {
- public:
-  GraceHashJoinOp(std::unique_ptr<Operator> outer,
-                  std::unique_ptr<Operator> inner, size_t left_key,
-                  size_t right_key, const SpillConfig& config,
-                  int num_partitions = 8);
-
-  Status Open() override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  const Schema& schema() const override { return schema_; }
-
-  /// True when Open spilled (the build side exceeded the budget).
-  bool spilled() const { return spilled_; }
-
-  /// Partition files currently held open (0 after Close or a failed Open).
-  size_t open_partitions() const {
-    return build_parts_.size() + probe_parts_.size();
-  }
-
- private:
-  Status OpenImpl();
-  Status PartitionInput(Operator* input, const Schema& schema, size_t key,
-                        std::vector<std::unique_ptr<HeapFile>>* parts);
-  Status LoadPartition(int index);
-  Status ScanFile(HeapFile* file, const Schema& schema,
-                  const std::function<Status(Tuple)>& sink);
-
-  std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;
-  const size_t left_key_, right_key_;
-  const SpillConfig config_;
-  const int num_partitions_;
-  Schema schema_;
-
-  bool spilled_ = false;
-
-  // Spilled state.
-  std::vector<std::unique_ptr<HeapFile>> build_parts_;
-  std::vector<std::unique_ptr<HeapFile>> probe_parts_;
-  int current_partition_ = -1;
-  std::unordered_multimap<int32_t, Tuple> table_;
-  std::vector<Tuple> probe_rows_;
-  size_t probe_pos_ = 0;
-  std::unordered_multimap<int32_t, Tuple>::const_iterator match_, match_end_;
-  bool probing_ = false;
-  Tuple probe_tuple_;
 };
 
 }  // namespace xprs

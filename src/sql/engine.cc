@@ -1,6 +1,7 @@
 #include "sql/engine.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "util/check.h"
 #include "util/str.h"
@@ -74,6 +75,20 @@ TaskProfile AdmissionEstimate(const CostModel& model, const PlanNode& plan,
     profile.memory_pages += model.FragmentMemoryPages(graph,
                                                       graph.fragment(id));
   return profile;
+}
+
+// InvalidArgument unless the column `ref` resolved to (relation, column)
+// has type `want`. Ranges, joins, groups and aggregates run on int4
+// columns only; a comparison runs on its constant's type.
+Status RequireType(const QuerySpec& spec, std::pair<int, size_t> rel_col,
+                   const SqlColumnRef& ref, TypeId want, const char* role) {
+  const TypeId type =
+      spec.relations[rel_col.first].table->schema().column(rel_col.second)
+          .type;
+  if (type == want) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("%s column '%s' is %s, not %s", role, ref.ToString().c_str(),
+                TypeName(type), TypeName(want)));
 }
 
 // A statement's plan and costs, without rows: EXPLAIN's result.
@@ -158,17 +173,25 @@ StatusOr<SqlEngine::Bound> SqlEngine::Bind(const std::string& sql) const {
                                        bound.parsed.from[i].alias + "'");
 
   // WHERE conjuncts: selections attach to their relation; joins go to the
-  // equi-join graph.
+  // equi-join graph. Operand types are checked here, so no statement text
+  // reaches the executor's type CHECKs.
   for (const SqlCondition& cond : bound.parsed.where) {
     XPRS_ASSIGN_OR_RETURN(auto lhs, ResolveColumn(bound, cond.lhs));
     switch (cond.kind) {
       case SqlCondition::Kind::kCompare: {
+        const TypeId constant = std::holds_alternative<int32_t>(cond.constant)
+                                    ? TypeId::kInt4
+                                    : TypeId::kText;
+        XPRS_RETURN_IF_ERROR(
+            RequireType(bound.spec, lhs, cond.lhs, constant, "compared"));
         Predicate p = Predicate::Compare(lhs.second, cond.op, cond.constant);
         Predicate& existing = bound.spec.relations[lhs.first].pred;
         existing = Predicate::And(existing, p);
         break;
       }
       case SqlCondition::Kind::kBetween: {
+        XPRS_RETURN_IF_ERROR(RequireType(bound.spec, lhs, cond.lhs,
+                                         TypeId::kInt4, "BETWEEN"));
         Predicate p = Predicate::Between(lhs.second, cond.lo, cond.hi);
         Predicate& existing = bound.spec.relations[lhs.first].pred;
         existing = Predicate::And(existing, p);
@@ -179,6 +202,10 @@ StatusOr<SqlEngine::Bound> SqlEngine::Bind(const std::string& sql) const {
         if (lhs.first == rhs.first)
           return Status::InvalidArgument(
               "self-comparison within one relation is not a join");
+        XPRS_RETURN_IF_ERROR(
+            RequireType(bound.spec, lhs, cond.lhs, TypeId::kInt4, "join"));
+        XPRS_RETURN_IF_ERROR(
+            RequireType(bound.spec, rhs, cond.rhs, TypeId::kInt4, "join"));
         bound.spec.joins.push_back(
             {lhs.first, lhs.second, rhs.first, rhs.second});
         break;
@@ -211,6 +238,17 @@ StatusOr<PreparedStatement> SqlEngine::Prepare(const std::string& sql,
         "an aggregate query selects exactly the aggregate");
   if (parsed.group_by.has_value() && num_aggs == 0)
     return Status::InvalidArgument("GROUP BY requires an aggregate");
+  if (num_aggs == 1) {
+    const SqlColumnRef& ref = parsed.select[0].column;
+    XPRS_ASSIGN_OR_RETURN(auto col, ResolveColumn(bound, ref));
+    XPRS_RETURN_IF_ERROR(
+        RequireType(bound.spec, col, ref, TypeId::kInt4, "aggregate"));
+  }
+  if (parsed.group_by.has_value()) {
+    XPRS_ASSIGN_OR_RETURN(auto col, ResolveColumn(bound, *parsed.group_by));
+    XPRS_RETURN_IF_ERROR(RequireType(bound.spec, col, *parsed.group_by,
+                                     TypeId::kInt4, "GROUP BY"));
+  }
 
   TwoPhaseOptimizer optimizer(machine_, model_);
   XPRS_ASSIGN_OR_RETURN(OptimizedQuery optimized,

@@ -1,6 +1,9 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <system_error>
 
 #include "util/str.h"
 
@@ -47,7 +50,13 @@ StatusOr<std::vector<Token>> Lex(const std::string& sql) {
       while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       tok.kind = TokKind::kInt;
       tok.text = sql.substr(start, i - start);
-      tok.int_value = std::stoll(tok.text);
+      // Integer literals are int4 values: one out of range is an error,
+      // never a wrapped value.
+      int32_t value = 0;
+      if (std::from_chars(sql.data() + start, sql.data() + i, value).ec !=
+          std::errc())
+        return error("integer literal out of int4 range", start);
+      tok.int_value = value;
       tokens.push_back(std::move(tok));
       continue;
     }

@@ -30,16 +30,28 @@ std::string DifferentialReport::ToString() const {
 
 namespace {
 
-// First scan node of `kind` in the plan tree, or nullptr.
-const PlanNode* FindScan(const PlanNode& plan, PlanKind kind) {
+// First node of `kind` in the plan tree, or nullptr.
+const PlanNode* FindNode(const PlanNode& plan, PlanKind kind) {
   if (plan.kind == kind) return &plan;
   if (plan.left != nullptr) {
-    if (const PlanNode* hit = FindScan(*plan.left, kind)) return hit;
+    if (const PlanNode* hit = FindNode(*plan.left, kind)) return hit;
   }
   if (plan.right != nullptr) {
-    if (const PlanNode* hit = FindScan(*plan.right, kind)) return hit;
+    if (const PlanNode* hit = FindNode(*plan.right, kind)) return hit;
   }
   return nullptr;
+}
+
+// Rewrites every hash join under *node to a merge join over sorts of its
+// inputs: the same join, computed without a hash table.
+void HashJoinsToMergeJoins(std::unique_ptr<PlanNode>* node) {
+  PlanNode& n = **node;
+  if (n.left != nullptr) HashJoinsToMergeJoins(&n.left);
+  if (n.right != nullptr) HashJoinsToMergeJoins(&n.right);
+  if (n.kind != PlanKind::kHashJoin) return;
+  *node = MakeMergeJoin(MakeSort(std::move(n.left), n.left_key),
+                        MakeSort(std::move(n.right), n.right_key),
+                        n.left_key, n.right_key);
 }
 
 }  // namespace
@@ -204,6 +216,14 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
     XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
                           ExecutePlanSequential(plan, ctx));
     XPRS_RETURN_IF_ERROR(Compare(plan, "spill", reference, got));
+  }
+
+  if (FindNode(plan, PlanKind::kHashJoin) != nullptr) {
+    std::unique_ptr<PlanNode> merged = plan.Clone();
+    HashJoinsToMergeJoins(&merged);
+    XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
+                          ExecutePlanSequential(*merged, plain));
+    XPRS_RETURN_IF_ERROR(Compare(plan, "merge-joins", reference, got));
   }
 
   if (options_.run_buffer_pool) {
@@ -378,7 +398,7 @@ Status DifferentialOracle::CheckFaultSurfacing(const PlanNode& plan) {
     pool.SetFaultInjector(nullptr);
     XPRS_RETURN_IF_ERROR(status);
   }
-  if (const PlanNode* scan = FindScan(plan, PlanKind::kSeqScan);
+  if (const PlanNode* scan = FindNode(plan, PlanKind::kSeqScan);
       scan != nullptr && scan->table != nullptr) {
     // Heap-file read hook: targets a single relation's pages instead of
     // the whole array; the first ReadPage of that file fails.
@@ -392,7 +412,7 @@ Status DifferentialOracle::CheckFaultSurfacing(const PlanNode& plan) {
     scan->table->file().SetFaultInjector(nullptr);
     XPRS_RETURN_IF_ERROR(status);
   }
-  if (const PlanNode* scan = FindScan(plan, PlanKind::kIndexScan);
+  if (const PlanNode* scan = FindNode(plan, PlanKind::kIndexScan);
       scan != nullptr && scan->table != nullptr &&
       scan->table->mutable_index() != nullptr) {
     // B+tree read hook: the first checked descent/scan over the index

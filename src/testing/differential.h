@@ -15,8 +15,12 @@
 //                      validated with ValidateSchedDecisions
 //   - profiled         ExecutePlanSequential with a QueryProfile attached;
 //                      the instrumentation must be invisible to the result
-//   - spill            memory-constrained external sort / grace hash join
-//                      (§5 extension) over a temp disk array
+//   - spill            memory-constrained external sort / spilling hash
+//                      join (§5 extension) over a temp disk array
+//   - merge-joins      the plan with every hash join rewritten to a merge
+//                      join over sorts of its inputs: every other mode's
+//                      hash joins share one JoinHashTable, so this mode
+//                      checks that table independently
 //   - pooled           reads through a small shared BufferPool; the run
 //                      must leave zero pinned frames
 //   - vectorized       ctx.vectorized batch execution (exec/batch_ops.h),

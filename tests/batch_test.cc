@@ -365,7 +365,7 @@ TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     1, 1),
       plain, nullptr));
-  // Spilling joins defer to GraceHashJoinOp.
+  // Joins that may spill stay on the tuple path: only HashJoinOp spills.
   ExecContext spilling = plain;
   DiskArray temp(1, DiskMode::kInstant);
   spilling.spill.temp_array = &temp;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <map>
 #include <set>
 
 #include "exec/executor.h"
@@ -216,6 +218,65 @@ TEST_F(ExecTest, JoinAlgorithmsAgree) {
   EXPECT_EQ(nl.size(), 162u);
   EXPECT_EQ(nl, hj);
   EXPECT_EQ(nl, mj);
+}
+
+// The row positions `table` holds under `key`, in entry order.
+std::vector<uint32_t> Matches(const JoinHashTable& table, int32_t key) {
+  std::vector<uint32_t> rows;
+  const auto [first, last] = table.Bucket(key);
+  for (uint32_t e = first; e < last; ++e)
+    if (table.key(e) == key) rows.push_back(table.row(e));
+  return rows;
+}
+
+TEST(JoinHashTableTest, EmptyAndAllNullInputsIndexNothing) {
+  JoinHashTable table;
+  table.Build(std::vector<Tuple>(), 0);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(Matches(table, 0).empty());
+  table.Build(std::vector<Tuple>(5, Tuple({Value(std::monostate{})})), 0);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(Matches(table, 0).empty());
+}
+
+// Every key finds exactly its rows, duplicates in row order, at sizes on
+// both sides of a power of two and at the int32 extremes; the key-array
+// Build and the Tuple overload lay out the same table.
+TEST(JoinHashTableTest, FindsEachKeysRowsInRowOrder) {
+  for (size_t n : {1, 2, 3, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025}) {
+    std::vector<int32_t> keys;
+    std::vector<uint32_t> rows;
+    std::vector<Tuple> tuples;
+    std::map<int32_t, std::vector<uint32_t>> want;
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 7 == 6) {  // NULL keys join nothing
+        tuples.push_back(Tuple({Value(std::monostate{})}));
+        continue;
+      }
+      const int32_t key = i % 5 == 0   ? INT32_MIN
+                          : i % 5 == 1 ? INT32_MAX
+                                       : static_cast<int32_t>(i / 3);
+      keys.push_back(key);
+      rows.push_back(static_cast<uint32_t>(i));
+      tuples.push_back(Tuple({Value(key)}));
+      want[key].push_back(static_cast<uint32_t>(i));
+    }
+    JoinHashTable from_keys;
+    from_keys.Build(keys, rows);
+    JoinHashTable from_tuples;
+    from_tuples.Build(tuples, 0);
+    ASSERT_EQ(from_keys.size(), keys.size()) << n;
+    ASSERT_EQ(from_tuples.size(), keys.size()) << n;
+    for (const auto& [key, positions] : want) {
+      EXPECT_EQ(Matches(from_keys, key), positions) << n << " key " << key;
+    }
+    EXPECT_TRUE(Matches(from_keys, -1).empty()) << n;
+    EXPECT_TRUE(Matches(from_keys, static_cast<int32_t>(n)).empty()) << n;
+    for (uint32_t e = 0; e < from_keys.size(); ++e) {
+      EXPECT_EQ(from_keys.key(e), from_tuples.key(e)) << n;
+      EXPECT_EQ(from_keys.row(e), from_tuples.row(e)) << n;
+    }
+  }
 }
 
 TEST_F(ExecTest, JoinOutputSchemaIsConcatenation) {

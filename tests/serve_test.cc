@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -522,12 +523,37 @@ TEST_F(ServingEngineTest, ParseErrorsSurfaceSynchronously) {
   EXPECT_FALSE(q.ok());
   auto missing = session->Submit("SELECT * FROM nosuch");
   EXPECT_FALSE(missing.ok());
-  // Select-list binding happens before admission too.
-  for (const char* sql :
-       {"SELECT zz FROM custs", "SELECT a FROM custs GROUP BY a",
-        "SELECT count(a), b FROM custs"})
-    EXPECT_FALSE(session->Submit(sql).ok()) << sql;
+  // Select-list binding and operand type checks happen before admission
+  // too; custs and orders are (a int4, b text). An ill-typed statement
+  // must never reach the executor, whose type CHECKs abort the process.
+  const std::pair<const char*, StatusCode> rejected[] = {
+      {"SELECT zz FROM custs", StatusCode::kInvalidArgument},
+      {"SELECT a FROM custs GROUP BY a", StatusCode::kInvalidArgument},
+      {"SELECT count(a), b FROM custs", StatusCode::kUnimplemented},
+      {"SELECT a FROM custs WHERE a = 'x'", StatusCode::kInvalidArgument},
+      {"SELECT a FROM custs WHERE b < 10", StatusCode::kInvalidArgument},
+      {"SELECT a FROM custs WHERE b BETWEEN 1 AND 5",
+       StatusCode::kInvalidArgument},
+      {"SELECT o.a FROM orders o, custs c WHERE o.a = c.b",
+       StatusCode::kInvalidArgument},
+      {"SELECT count(a) FROM custs GROUP BY b", StatusCode::kInvalidArgument},
+      {"SELECT sum(b) FROM custs", StatusCode::kInvalidArgument},
+      {"SELECT a FROM custs WHERE a = 99999999999999999999",
+       StatusCode::kInvalidArgument},
+  };
+  for (const auto& [sql, code] : rejected) {
+    auto rejected_query = session->Submit(sql);
+    ASSERT_FALSE(rejected_query.ok()) << sql;
+    EXPECT_EQ(rejected_query.status().code(), code) << sql;
+  }
   EXPECT_EQ(session->num_outstanding(), 0);
+  // The engine keeps serving.
+  auto valid = session->Submit("SELECT a FROM custs WHERE b = 'c7'");
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  StatusOr<SqlResult> result = valid->ticket.Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(std::get<int32_t>(result->rows[0].value(0)), 7);
   engine->CloseSession(session);
 }
 

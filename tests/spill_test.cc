@@ -1,5 +1,6 @@
-// Tests for the spilling operators (external merge sort, grace hash join)
-// and their integration with the plan builders via ExecContext::spill.
+// Tests for the spilling operators (external merge sort, and the hash join
+// spilling as a grace hash join) and their integration with the plan
+// builders via ExecContext::spill.
 
 #include <gtest/gtest.h>
 
@@ -115,27 +116,28 @@ TEST_F(SpillTest, ExternalSortPaysTempIo) {
 }
 
 TEST_F(SpillTest, GraceHashJoinMatchesInMemoryJoin) {
+  // Reference: the nested-loop join, which builds no hash table.
   auto reference = [&] {
-    auto plan = MakeHashJoin(MakeSeqScan(t_, Predicate()),
-                             MakeSeqScan(s_, Predicate()), 0, 0);
+    auto plan = MakeNestLoopJoin(MakeSeqScan(t_, Predicate()),
+                                 MakeSeqScan(s_, Predicate()), 0, 0);
     return ExecutePlanSequential(*plan, plain_).value();
   }();
 
   auto outer = std::make_unique<SeqScanOp>(t_, Predicate(), plain_);
   auto inner = std::make_unique<SeqScanOp>(s_, Predicate(), plain_);
-  GraceHashJoinOp join(std::move(outer), std::move(inner), 0, 0,
-                       Spilling(64), /*num_partitions=*/4);
+  HashJoinOp join(std::move(outer), std::move(inner), 0, 0, Spilling(64));
   auto rows = Drain(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(join.spilled());
+  EXPECT_EQ(join.open_partitions(), 0u);  // Drain closed the join
   EXPECT_EQ(Normalize(*rows), Normalize(reference));
 }
 
 TEST_F(SpillTest, GraceHashJoinStaysInMemoryWhenBuildFits) {
   auto outer = std::make_unique<SeqScanOp>(t_, Predicate(), plain_);
   auto inner = std::make_unique<SeqScanOp>(s_, Predicate(), plain_);
-  GraceHashJoinOp join(std::move(outer), std::move(inner), 0, 0,
-                       Spilling(100000));
+  HashJoinOp join(std::move(outer), std::move(inner), 0, 0,
+                  Spilling(100000));
   auto rows = Drain(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_FALSE(join.spilled());
@@ -190,19 +192,39 @@ TEST_F(SpillTest, GraceJoinWithDuplicatesAndNulls) {
   ASSERT_TRUE(nulls->file().Flush().ok());
 
   auto reference = [&] {
-    auto plan = MakeHashJoin(MakeSeqScan(nulls, Predicate()),
-                             MakeSeqScan(nulls, Predicate()), 0, 0);
+    auto plan = MakeNestLoopJoin(MakeSeqScan(nulls, Predicate()),
+                                 MakeSeqScan(nulls, Predicate()), 0, 0);
     return ExecutePlanSequential(*plan, plain_).value();
   }();
 
   auto outer = std::make_unique<SeqScanOp>(nulls, Predicate(), plain_);
   auto inner = std::make_unique<SeqScanOp>(nulls, Predicate(), plain_);
-  GraceHashJoinOp join(std::move(outer), std::move(inner), 0, 0,
-                       Spilling(32), 4);
+  HashJoinOp join(std::move(outer), std::move(inner), 0, 0, Spilling(32));
   auto rows = Drain(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(join.spilled());
   EXPECT_EQ(rows->size(), reference.size());  // NULL keys join nothing
+}
+
+// The budget counts the build rows the join holds: NULL-keyed rows join
+// nothing and are dropped before they count.
+TEST_F(SpillTest, HashJoinBudgetCountsOnlyRowsItHolds) {
+  Table* sparse =
+      catalog_->CreateTable("sparse", Schema::PaperSchema()).value();
+  for (int i = 0; i < 200; ++i) {
+    Value key = i < 20 ? Value(int32_t{i}) : Value(std::monostate{});
+    ASSERT_TRUE(
+        sparse->file().Append(Tuple({key, Value(std::string("p"))})).ok());
+  }
+  ASSERT_TRUE(sparse->file().Flush().ok());
+
+  auto outer = std::make_unique<SeqScanOp>(s_, Predicate(), plain_);
+  auto inner = std::make_unique<SeqScanOp>(sparse, Predicate(), plain_);
+  HashJoinOp join(std::move(outer), std::move(inner), 0, 0, Spilling(20));
+  auto rows = Drain(&join);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_FALSE(join.spilled());  // 20 keyed rows held, 180 NULL keys dropped
+  EXPECT_EQ(rows->size(), 40u);  // s_ holds keys 0..99 twice
 }
 
 // Forwards its child and cancels the token after `after` tuples, so a
@@ -266,8 +288,7 @@ TEST_F(SpillTest, GraceHashJoinCancelledMidSpillReleasesPartitions) {
   // starts; the fuse on the probe side then cancels mid-partition.
   auto fuse =
       std::make_unique<CancelAfterOp>(std::move(outer), &token, /*after=*/300);
-  GraceHashJoinOp join(std::move(fuse), std::move(inner), 0, 0, Spilling(64),
-                       4);
+  HashJoinOp join(std::move(fuse), std::move(inner), 0, 0, Spilling(64));
   Status st = join.Open();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);

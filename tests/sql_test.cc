@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 #include <thread>
 
@@ -40,6 +41,17 @@ TEST(LexerTest, NegativeNumbersAndNeSpellings) {
   EXPECT_TRUE((*toks)[1].Is(TokKind::kSymbol, "<>"));
   EXPECT_EQ((*toks)[2].int_value, -5);
   EXPECT_TRUE((*toks)[5].Is(TokKind::kSymbol, "<>"));  // != normalized
+}
+
+TEST(LexerTest, IntegerLiteralsOutsideInt4Rejected) {
+  auto edge = Lex("a = -2147483648 and b = 2147483647");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ((*edge)[2].int_value, INT32_MIN);
+  EXPECT_EQ((*edge)[6].int_value, INT32_MAX);
+  // Neither wrapped nor thrown past int64.
+  EXPECT_FALSE(Lex("a = 2147483648").ok());
+  EXPECT_FALSE(Lex("a = -2147483649").ok());
+  EXPECT_FALSE(Lex("a = 99999999999999999999").ok());
 }
 
 TEST(LexerTest, UnterminatedStringRejected) {
@@ -234,6 +246,27 @@ TEST_F(SqlEngineTest, BindErrors) {
   EXPECT_FALSE(engine_->Execute("SELECT * FROM orders, custs").ok());
   // GROUP BY without aggregate.
   EXPECT_FALSE(engine_->Execute("SELECT a FROM custs GROUP BY a").ok());
+}
+
+// Operands of the wrong type fail at Prepare, before anything runs: the
+// executor's type CHECKs guard hand-built plans only. custs and orders are
+// (a int4, b text).
+TEST_F(SqlEngineTest, PrepareRejectsIllTypedOperands) {
+  for (const char* sql : {
+           "SELECT a FROM custs WHERE a = 'x'",
+           "SELECT a FROM custs WHERE b < 10",
+           "SELECT a FROM custs WHERE b BETWEEN 1 AND 5",
+           "SELECT o.a FROM orders o, custs c WHERE o.a = c.b",
+           "SELECT count(a) FROM custs GROUP BY b",
+           "SELECT sum(b) FROM custs",
+       }) {
+    auto prepared = engine_->Prepare(sql);
+    ASSERT_FALSE(prepared.ok()) << sql;
+    EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // Well-typed text and int4 comparisons still bind.
+  EXPECT_TRUE(engine_->Prepare("SELECT a FROM custs WHERE b = 'c7'").ok());
+  EXPECT_TRUE(engine_->Prepare("SELECT a FROM custs WHERE a < 10").ok());
 }
 
 TEST_F(SqlEngineTest, UnqualifiedColumnsOnSingleTable) {

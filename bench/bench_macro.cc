@@ -5,7 +5,8 @@
 //   serial      tuple-at-a-time executor
 //   vectorized  batch-at-a-time executor (ctx.vectorized)
 //   spill       memory-bounded spilling operators
-//   parallel    the parallel master backend
+//   parallel    the parallel master backend, its slaves vectorized as
+//               the server runs them
 //   served      the full serving stack (admission control, lifecycle
 //               spans, slow-query log) under 4 concurrent client threads
 //
@@ -406,6 +407,7 @@ int Run(int argc, char** argv) {
   modes.push_back(RunMode("parallel", config, mix, oracle,
                           [&](const std::string& sql) -> StatusOr<SqlResult> {
                             RunOptions run;
+                            run.ctx.vectorized = true;
                             run.master.emplace().max_slots = 4;
                             XPRS_ASSIGN_OR_RETURN(PreparedStatement p,
                                                   engine.Prepare(sql));

@@ -67,19 +67,20 @@ Status ColumnBatch::AppendSerializedTuple(const uint8_t* data, uint16_t size,
   return Status::OK();
 }
 
+void ColumnBatch::SetValue(size_t col, uint32_t row, const Value& value) {
+  if (IsNull(value)) return;  // the row starts all-NULL
+  if (const int32_t* iv = std::get_if<int32_t>(&value)) {
+    SetInt(col, row, *iv);
+  } else {
+    const std::string& sv = std::get<std::string>(value);
+    SetText(col, row, sv.data(), sv.size());
+  }
+}
+
 void ColumnBatch::AppendTuple(const Tuple& tuple) {
   XPRS_CHECK_EQ(tuple.size(), columns_.size());
   const uint32_t row = AddRow();
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const Value& v = tuple.value(c);
-    if (IsNull(v)) continue;
-    if (const int32_t* iv = std::get_if<int32_t>(&v)) {
-      SetInt(c, row, *iv);
-    } else {
-      const std::string& sv = std::get<std::string>(v);
-      SetText(c, row, sv.data(), sv.size());
-    }
-  }
+  for (size_t c = 0; c < columns_.size(); ++c) SetValue(c, row, tuple.value(c));
 }
 
 void ColumnBatch::CopyValue(size_t dst_col, uint32_t dst_row,
@@ -114,6 +115,21 @@ void ColumnBatch::AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
   for (size_t c = 0; c < right.columns_.size(); ++c) {
     if (mask == nullptr || (*mask)[split + c] != 0)
       CopyValue(split + c, row, right, c, right_row);
+  }
+}
+
+void ColumnBatch::AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
+                                  const Tuple& right,
+                                  const std::vector<uint8_t>* mask) {
+  const size_t split = left.columns_.size();
+  XPRS_CHECK_EQ(columns_.size(), split + right.size());
+  const uint32_t row = AddRow();
+  for (size_t c = 0; c < split; ++c) {
+    if (mask == nullptr || (*mask)[c] != 0) CopyValue(c, row, left, c, left_row);
+  }
+  for (size_t c = 0; c < right.size(); ++c) {
+    if (mask == nullptr || (*mask)[split + c] != 0)
+      SetValue(split + c, row, right.value(c));
   }
 }
 

@@ -105,6 +105,10 @@ class ColumnBatch {
   void AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
                        const ColumnBatch& right, uint32_t right_row,
                        const std::vector<uint8_t>* mask = nullptr);
+  /// The same, with a materialized right row (a shared build input).
+  void AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
+                       const Tuple& right,
+                       const std::vector<uint8_t>* mask = nullptr);
 
   // --- row access ---
   bool IsNullAt(size_t col, uint32_t row) const {
@@ -125,6 +129,8 @@ class ColumnBatch {
   // (already added) row `dst_row`.
   void CopyValue(size_t dst_col, uint32_t dst_row, const ColumnBatch& src,
                  size_t src_col, uint32_t src_row);
+  // Stores `value` into column `col` of the (already added) row `row`.
+  void SetValue(size_t col, uint32_t row, const Value& value);
 
   const Schema* schema_ = nullptr;
   std::vector<Column> columns_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/page_partition.h"
 #include "util/check.h"
 
 namespace xprs {
@@ -17,29 +18,45 @@ uint32_t BatchTarget(const ExecContext& ctx) {
 
 // ----------------------------------------------------------- BatchSeqScan
 
-BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx)
-    : table_(table), ctx_(ctx) {
+BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx,
+                               AdjustablePageScan* pages, int slot)
+    : table_(table), ctx_(ctx), pages_(pages), slot_(slot) {
   XPRS_CHECK(table != nullptr);
 }
 
 Status BatchSeqScanOp::Open() {
   next_page_ = 0;
+  exhausted_ = false;
   pages_read_ = 0;
   if (owns_node_stats_) ProfOpen();
   return Status::OK();
+}
+
+std::optional<uint32_t> BatchSeqScanOp::TakePage() {
+  std::optional<uint32_t> page;
+  if (exhausted_) return page;
+  if (pages_ != nullptr) {
+    page = pages_->NextPage(slot_);
+  } else if (next_page_ < table_->file().num_pages()) {
+    page = next_page_++;
+  }
+  exhausted_ = !page.has_value();
+  return page;
 }
 
 Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
-  while (out->size() < target && next_page_ < table_->file().num_pages()) {
+  while (out->size() < target) {
+    const std::optional<uint32_t> page_index = TakePage();
+    if (!page_index.has_value()) break;
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
     // The pin (when pooled) lives exactly as long as this page's decode.
     PageHandle pin;
     XPRS_ASSIGN_OR_RETURN(
         const Page* page,
-        ReadTablePage(ctx_, *table_, next_page_, &pin, &direct_page_));
+        ReadTablePage(ctx_, *table_, *page_index, &pin, &direct_page_));
     ++pages_read_;
     ProfPagesRead(1);
     const uint16_t n = page->num_tuples();
@@ -50,7 +67,6 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
       XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
-    ++next_page_;
   }
   if (out->size() == 0) {
     *eof = true;
@@ -112,27 +128,45 @@ BatchHashJoinOp::BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
                                  ExecContext ctx)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
+      shared_build_(nullptr),
       left_key_(left_key),
       right_key_(right_key),
       ctx_(ctx),
       schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
 
+BatchHashJoinOp::BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
+                                 const TempResult* build, size_t left_key,
+                                 size_t right_key, ExecContext ctx)
+    : outer_(std::move(outer)),
+      shared_build_(build),
+      left_key_(left_key),
+      right_key_(right_key),
+      ctx_(ctx),
+      schema_(Schema::Concat(outer_->schema(), build->schema)) {}
+
 Status BatchHashJoinOp::Open() {
   Status st = OpenImpl();
   if (!st.ok()) {
-    table_.Clear();
-    (void)inner_->Close();
+    owned_table_.Clear();
+    if (inner_ != nullptr) (void)inner_->Close();
     (void)outer_->Close();
   }
   return st;
 }
 
 Status BatchHashJoinOp::OpenImpl() {
-  build_.Reset(&inner_->schema());
   probe_pos_ = 0;
   have_probe_ = false;
   outer_done_ = false;
+  if (shared_build_ != nullptr) {
+    size_t inserted = 0;
+    table_ = &shared_build_->JoinIndex(right_key_, &inserted);
+    ProfBuildRows(inserted);
+    ProfOpen();
+    return outer_->Open();
+  }
   // Blocking build phase.
+  build_.Reset(&inner_->schema());
   XPRS_RETURN_IF_ERROR(inner_->Open());
   const bool key_is_int =
       inner_->schema().column(right_key_).type == TypeId::kInt4;
@@ -154,7 +188,8 @@ Status BatchHashJoinOp::OpenImpl() {
     }
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
-  table_.Build(keys, rows);
+  owned_table_.Build(keys, rows);
+  table_ = &owned_table_;
   ProfBuildRows(build_.size());
   ProfOpen();
   return outer_->Open();
@@ -166,6 +201,7 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
   const uint32_t target = BatchTarget(ctx_);
   const bool key_is_int =
       outer_->schema().column(left_key_).type == TypeId::kInt4;
+  const std::vector<uint8_t>* mask = emit_mask_.empty() ? nullptr : &emit_mask_;
   for (;;) {
     if (have_probe_) {
       const uint32_t n = probe_.ActiveSize();
@@ -174,12 +210,15 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
         if (probe_.IsNullAt(left_key_, r)) continue;  // NULL keys never match
         XPRS_CHECK_MSG(key_is_int, "join key must be int4");
         const int32_t key = probe_.IntAt(left_key_, r);
-        const std::vector<uint8_t>* mask =
-            emit_mask_.empty() ? nullptr : &emit_mask_;
-        const auto [first, last] = table_.Bucket(key);
+        const auto [first, last] = table_->Bucket(key);
         for (uint32_t e = first; e < last; ++e) {
-          if (table_.key(e) == key)
-            out->AppendConcatRow(probe_, r, build_, table_.row(e), mask);
+          if (table_->key(e) != key) continue;
+          if (shared_build_ != nullptr) {
+            out->AppendConcatRow(probe_, r,
+                                 shared_build_->tuples[table_->row(e)], mask);
+          } else {
+            out->AppendConcatRow(probe_, r, build_, table_->row(e), mask);
+          }
         }
         // A probe row is never split across output batches, so the batch
         // may overshoot the target by one row's match count.
@@ -209,7 +248,7 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
 }
 
 Status BatchHashJoinOp::Close() {
-  table_.Clear();
+  owned_table_.Clear();
   return outer_->Close();
 }
 
@@ -221,6 +260,7 @@ void BatchHashJoinOp::PruneOutputColumns(const std::vector<uint8_t>& needed) {
   std::vector<uint8_t> outer_needed(needed.begin(), needed.begin() + split);
   outer_needed[left_key_] = 1;
   outer_->PruneOutputColumns(outer_needed);
+  if (inner_ == nullptr) return;  // a shared build input is already decoded
   std::vector<uint8_t> inner_needed(needed.begin() + split, needed.end());
   inner_needed[right_key_] = 1;
   inner_->PruneOutputColumns(inner_needed);
@@ -316,15 +356,18 @@ BatchFromTupleOp::BatchFromTupleOp(std::unique_ptr<Operator> child,
   XPRS_CHECK(child_ != nullptr);
 }
 
+Status BatchFromTupleOp::Open() {
+  child_done_ = false;
+  return child_->Open();
+}
+
 Status BatchFromTupleOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&child_->schema());
-  while (out->size() < batch_rows_) {
+  while (!child_done_ && out->size() < batch_rows_) {
     Tuple tuple;
-    bool child_eof = false;
-    XPRS_RETURN_IF_ERROR(child_->Next(&tuple, &child_eof));
-    if (child_eof) break;
-    out->AppendTuple(tuple);
+    XPRS_RETURN_IF_ERROR(child_->Next(&tuple, &child_done_));
+    if (!child_done_) out->AppendTuple(tuple);
   }
   if (out->size() == 0) *eof = true;
   return Status::OK();
@@ -370,110 +413,6 @@ Status VectorizedAdapterOp::Next(Tuple* out, bool* eof) {
     pos_ = 0;
     have_batch_ = true;
   }
-}
-
-// --------------------------------------------------------------- builders
-
-namespace {
-
-bool HookLeaf(const PlanNode& node, const BatchLeafHooks* hooks) {
-  return hooks != nullptr && hooks->is_leaf && hooks->is_leaf(&node);
-}
-
-}  // namespace
-
-bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, hooks)) return true;
-  switch (node.kind) {
-    case PlanKind::kSeqScan:
-      return true;
-    case PlanKind::kAggregate:
-      return VectorizableSubtree(*node.left, ctx, hooks);
-    case PlanKind::kHashJoin: {
-      // Only the tuple HashJoinOp spills: spill-configured contexts stay on
-      // the tuple path so memory bounds keep holding.
-      if (ctx.spill.temp_array != nullptr) return false;
-      // Non-int4 keys fall back to the tuple path, which only type-checks
-      // keys it actually extracts (all-NULL inputs pass).
-      const Schema& ls = node.left->output_schema;
-      const Schema& rs = node.right->output_schema;
-      if (node.left_key >= ls.num_columns() ||
-          ls.column(node.left_key).type != TypeId::kInt4 ||
-          node.right_key >= rs.num_columns() ||
-          rs.column(node.right_key).type != TypeId::kInt4)
-        return false;
-      return VectorizableSubtree(*node.left, ctx, hooks) &&
-             VectorizableSubtree(*node.right, ctx, hooks);
-    }
-    default:
-      return false;
-  }
-}
-
-StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx,
-    const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, hooks)) return hooks->make(&node);
-  OperatorStats* stats =
-      ctx.profile != nullptr ? ctx.profile->StatsFor(&node) : nullptr;
-  switch (node.kind) {
-    case PlanKind::kSeqScan: {
-      auto scan = std::make_unique<BatchSeqScanOp>(node.table, ctx);
-      scan->set_profile_stats(stats);
-      if (node.predicate.IsTrue())
-        return std::unique_ptr<BatchOperator>(std::move(scan));
-      // The filter owns the node's opens / tuples_out / evals; the scan
-      // underneath contributes only pages_read.
-      scan->set_owns_node_stats(false);
-      auto filter =
-          std::make_unique<BatchFilterOp>(std::move(scan), node.predicate);
-      filter->set_profile_stats(stats);
-      return std::unique_ptr<BatchOperator>(std::move(filter));
-    }
-    case PlanKind::kAggregate: {
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> child,
-                            BuildBatchTree(*node.left, ctx, hooks));
-      // The aggregate reads only its agg / group columns: prune the rest
-      // out of the child pipeline (scans skip the decode, joins skip the
-      // copy). The root of a pipeline is never pruned, so results at the
-      // adapter boundary are unaffected.
-      std::vector<uint8_t> needed(child->schema().num_columns(), 0);
-      needed[node.agg_col] = 1;
-      if (node.group_col >= 0) needed[node.group_col] = 1;
-      child->PruneOutputColumns(needed);
-      auto op = std::make_unique<BatchAggregateOp>(
-          std::move(child), node.output_schema, node.agg_func, node.agg_col,
-          node.group_col, ctx);
-      op->set_profile_stats(stats);
-      return std::unique_ptr<BatchOperator>(std::move(op));
-    }
-    case PlanKind::kHashJoin: {
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> outer,
-                            BuildBatchTree(*node.left, ctx, hooks));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> inner,
-                            BuildBatchTree(*node.right, ctx, hooks));
-      auto op = std::make_unique<BatchHashJoinOp>(std::move(outer),
-                                                  std::move(inner),
-                                                  node.left_key,
-                                                  node.right_key, ctx);
-      op->set_profile_stats(stats);
-      return std::unique_ptr<BatchOperator>(std::move(op));
-    }
-    default:
-      return Status::Internal("plan node is not vectorizable");
-  }
-}
-
-StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx,
-    const BatchLeafHooks* hooks) {
-  XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> root,
-                        BuildBatchTree(node, ctx, hooks));
-  // The adapter is the subtree's outermost cancellation point; it is not
-  // profiled (the batch operators own their nodes' stats).
-  return std::unique_ptr<Operator>(
-      std::make_unique<VectorizedAdapterOp>(std::move(root), ctx.cancel));
 }
 
 }  // namespace xprs

@@ -12,18 +12,21 @@
 // Vectorizable plan shapes are SeqScan (+ its predicate as a BatchFilterOp
 // over the decoded columns), HashJoin when nothing may spill, and
 // Aggregate. Everything else — Sort, MergeJoin, NestLoopJoin, IndexScan,
-// and hash joins that may spill — stays tuple-at-a-time; BuildVectorizedTree bridges a batch
-// subtree into those consumers (and into fragments, the parallel master
-// and Drain) through a VectorizedAdapterOp, while BatchFromTupleOp makes
-// foreign tuple sources (materialized fragment inputs, and the driving
-// scan of a parallel slave, which reads its slot of a shared partition)
-// look like batch sources inside a vectorized subtree.
+// and hash joins that may spill — stays tuple-at-a-time. The one fragment
+// builder (exec/fragment.h) compiles each maximal batch-capable subtree and
+// bridges it into tuple consumers (fragments, the parallel master, Drain)
+// through a VectorizedAdapterOp. A parallel slave's driving sequential scan
+// is a BatchSeqScanOp on its slot of the shared page partition, and a batch
+// hash join over a materialized build input probes that input's one shared
+// index. BatchFromTupleOp bridges in the one source with no batch form that
+// a batch subtree reads: a materialized input's rows (a slave may read its
+// slot of them).
 
 #ifndef XPRS_EXEC_BATCH_OPS_H_
 #define XPRS_EXEC_BATCH_OPS_H_
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "exec/batch.h"
@@ -89,13 +92,18 @@ class BatchOperator {
   OperatorStats* prof_ = nullptr;
 };
 
-/// Batched sequential scan of a whole heap file: decodes whole pages
-/// straight into columns (no per-tuple Tuple/Value materialization) until
-/// the batch reaches ctx.batch_rows, and polls ctx.cancel once per page.
-/// Pins are held one page at a time — never across NextBatch calls.
+/// Batched sequential scan over a heap file: decodes whole pages straight
+/// into columns (no per-tuple Tuple/Value materialization) until the batch
+/// reaches ctx.batch_rows, and polls ctx.cancel once per page. Without
+/// `pages` it reads every page in order; with it, it reads the pages the
+/// partition hands `slot`, one at a time, as SeqScanOp does (§2.4). A page
+/// is pinned only while it is decoded: never across NextPage, so an
+/// adjustment's rendezvous never waits on a pin, and never across NextBatch
+/// calls.
 class BatchSeqScanOp : public BatchOperator {
  public:
-  BatchSeqScanOp(Table* table, ExecContext ctx);
+  BatchSeqScanOp(Table* table, ExecContext ctx,
+                 AdjustablePageScan* pages = nullptr, int slot = 0);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
@@ -114,10 +122,18 @@ class BatchSeqScanOp : public BatchOperator {
   uint64_t pages_read() const { return pages_read_; }
 
  private:
+  // The next page to read, or nothing once this scan's share is done.
+  // After the partition says a slot is done it is never asked again: an
+  // adjustment may hand the slot to a new slave.
+  std::optional<uint32_t> TakePage();
+
   Table* const table_;
   const ExecContext ctx_;
+  AdjustablePageScan* const pages_;
+  const int slot_;
 
   uint32_t next_page_ = 0;
+  bool exhausted_ = false;
   uint64_t pages_read_ = 0;
   Page direct_page_;  // used when no buffer pool
   bool owns_node_stats_ = true;
@@ -145,13 +161,19 @@ class BatchFilterOp : public BatchOperator {
 
 /// Batched hash join: drains the inner (build) input batch-at-a-time into
 /// a column store indexed by a JoinHashTable on Open, then streams probe
-/// batches from the outer input, emitting concatenated match rows. NULL
-/// keys never match. Both join key columns must be int4.
+/// batches from the outer input, emitting concatenated match rows. The
+/// fragment form probes a materialized build input through the index it
+/// shares with every other prober (TempResult::JoinIndex) and emits its
+/// rows straight from the shared tuples. NULL keys never match. Both join
+/// key columns must be int4.
 class BatchHashJoinOp : public BatchOperator {
  public:
   BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
                   std::unique_ptr<BatchOperator> inner, size_t left_key,
                   size_t right_key, ExecContext ctx);
+  BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
+                  const TempResult* build, size_t left_key, size_t right_key,
+                  ExecContext ctx);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
@@ -166,13 +188,15 @@ class BatchHashJoinOp : public BatchOperator {
   Status OpenImpl();
 
   std::unique_ptr<BatchOperator> outer_;
-  std::unique_ptr<BatchOperator> inner_;
+  std::unique_ptr<BatchOperator> inner_;  ///< inline build only
+  const TempResult* const shared_build_;  ///< fragment form only
   const size_t left_key_, right_key_;
   const ExecContext ctx_;
   Schema schema_;
 
-  ColumnBatch build_;    ///< dense column store of the build side
-  JoinHashTable table_;  ///< its rows by key
+  ColumnBatch build_;          ///< inline build: the build side's columns
+  JoinHashTable owned_table_;  ///< inline build: its rows by key
+  const JoinHashTable* table_ = nullptr;  ///< owned_table_ or shared index
   ColumnBatch scratch_;  ///< build-drain scratch batch
   ColumnBatch probe_;
   uint32_t probe_pos_ = 0;
@@ -210,15 +234,17 @@ class BatchAggregateOp : public BatchOperator {
   uint32_t pos_ = 0;
 };
 
-/// Bridges a tuple operator into a batch subtree (fragment temp sources, a
-/// slave's driving scan): pulls up to `batch_rows` tuples per NextBatch.
-/// Not profiled — a bridged scan counts its own node's stats, and a temp
-/// source re-emits rows its producing fragment counted.
+/// Bridges a tuple operator into a batch subtree (a materialized fragment
+/// input): pulls up to `batch_rows` tuples per NextBatch. Once the child
+/// reports end of input it is not asked again: a source reading a slave's
+/// slot would ask the shared partition again, and an adjustment may have
+/// handed that slot to a new slave. Not profiled — a temp source re-emits
+/// rows its producing fragment counted.
 class BatchFromTupleOp : public BatchOperator {
  public:
   BatchFromTupleOp(std::unique_ptr<Operator> child, size_t batch_rows);
 
-  Status Open() override { return child_->Open(); }
+  Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
   Status Close() override { return child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
@@ -226,6 +252,7 @@ class BatchFromTupleOp : public BatchOperator {
  private:
   std::unique_ptr<Operator> child_;
   const size_t batch_rows_;
+  bool child_done_ = false;
 };
 
 /// Bridges a batch subtree into the tuple protocol: Next() walks the
@@ -251,34 +278,6 @@ class VectorizedAdapterOp : public Operator {
   bool have_batch_ = false;
   bool done_ = false;
 };
-
-/// Foreign-leaf hooks for the fragment builder: substitute batch sources
-/// for plan nodes a vectorized subtree cannot build itself (blocked
-/// fragment inputs, a slave's driving leaf).
-struct BatchLeafHooks {
-  /// True when `make` would substitute this node.
-  std::function<bool(const PlanNode* node)> is_leaf;
-  std::function<StatusOr<std::unique_ptr<BatchOperator>>(
-      const PlanNode* node)>
-      make;
-};
-
-/// True when the whole subtree rooted at `node` compiles to a batch
-/// pipeline: SeqScan / HashJoin / Aggregate nodes (hash joins stay on the
-/// tuple path, which spills, when spilling is configured) plus
-/// hook-substituted leaves. `hooks` may be null.
-bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         const BatchLeafHooks* hooks);
-
-/// Builds the batch pipeline for a vectorizable subtree, binding each
-/// node's stats when ctx.profile is set. Callers must have checked
-/// VectorizableSubtree.
-StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx, const BatchLeafHooks* hooks);
-
-/// BuildBatchTree bridged into the tuple protocol via VectorizedAdapterOp.
-StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx, const BatchLeafHooks* hooks);
 
 }  // namespace xprs
 

@@ -198,7 +198,9 @@ const PlanNode* DrivingLeaf(const Fragment& frag) {
 namespace {
 
 // Builds the operators of one fragment's pipeline, recursively from any of
-// its nodes.
+// its nodes. In vectorized mode every batch-capable subtree is built from
+// batch operators, its sequential scans included; a blocked input's rows
+// are the one tuple source bridged in.
 class FragmentBuilder {
  public:
   FragmentBuilder(const Fragment& frag,
@@ -208,42 +210,33 @@ class FragmentBuilder {
         inputs_(inputs),
         ctx_(ctx),
         driving_(driving),
-        driving_leaf_(driving != nullptr ? DrivingLeaf(frag) : nullptr) {
-    // Vectorized subtrees take their foreign leaves as tuple sources
-    // bridged into the batch pipeline.
-    hooks_.is_leaf = [this](const PlanNode* n) { return ForeignLeaf(n); };
-    hooks_.make = [this](const PlanNode* n)
-        -> StatusOr<std::unique_ptr<BatchOperator>> {
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, Leaf(n));
-      return std::unique_ptr<BatchOperator>(
-          std::make_unique<BatchFromTupleOp>(std::move(leaf),
-                                             ctx_.batch_rows));
-    };
-  }
-  // The hooks capture `this`.
-  FragmentBuilder(const FragmentBuilder&) = delete;
-  FragmentBuilder& operator=(const FragmentBuilder&) = delete;
+        driving_leaf_(driving != nullptr ? DrivingLeaf(frag) : nullptr) {}
 
   StatusOr<std::unique_ptr<Operator>> Build(const PlanNode* node);
+
+  // True when the subtree at `node` compiles to batch operators:
+  // sequential scans, and aggregates and hash joins that cannot spill, over
+  // leaves that are sequential scans or blocked inputs.
+  bool Vectorizable(const PlanNode* node) const;
 
  private:
   bool Blocked(const PlanNode* node) const {
     return frag_.blocked_inputs.count(node) > 0;
   }
-  // Leaves whose source is more than the plan node: a blocked input, or
-  // the driving leaf of a slave.
-  bool ForeignLeaf(const PlanNode* node) const {
-    return Blocked(node) || node == driving_leaf_;
+  // The page partition `node` reads its slot of, if it is the driving leaf.
+  AdjustablePageScan* DrivingPages(const PlanNode* node) const {
+    return node == driving_leaf_ ? driving_->pages : nullptr;
   }
+  int slot() const { return driving_ != nullptr ? driving_->slot : 0; }
   StatusOr<const TempResult*> Input(const PlanNode* node) const;
   StatusOr<std::unique_ptr<Operator>> Leaf(const PlanNode* node);
+  StatusOr<std::unique_ptr<BatchOperator>> BuildBatch(const PlanNode* node);
 
   const Fragment& frag_;
   const std::map<int, const TempResult*>& inputs_;
   const ExecContext& ctx_;
   const DrivingSlot* const driving_;
   const PlanNode* const driving_leaf_;  // null without `driving_`
-  BatchLeafHooks hooks_;
 };
 
 // The materialized output feeding blocked input `node`.
@@ -263,37 +256,138 @@ StatusOr<const TempResult*> FragmentBuilder::Input(
 // it re-emits another fragment's output, which that fragment counted.
 StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Leaf(
     const PlanNode* node) {
-  const bool drives = node == driving_leaf_;
-  AdjustablePageScan* pages = drives ? driving_->pages : nullptr;
-  const int slot = drives ? driving_->slot : 0;
   if (Blocked(node)) {
     XPRS_ASSIGN_OR_RETURN(const TempResult* temp, Input(node));
-    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp, pages, slot),
-                            ctx_.cancel);
+    return MaybeCancelGuard(
+        std::make_unique<TempSourceOp>(temp, DrivingPages(node), slot()),
+        ctx_.cancel);
   }
   std::unique_ptr<Operator> op;
   if (node->kind == PlanKind::kSeqScan) {
     op = std::make_unique<SeqScanOp>(node->table, node->predicate, ctx_,
-                                     pages, slot);
+                                     DrivingPages(node), slot());
   } else {
     XPRS_CHECK(node->kind == PlanKind::kIndexScan);
-    op = std::make_unique<IndexScanOp>(node->table, node->predicate,
-                                       node->index_range, ctx_,
-                                       drives ? driving_->ranges : nullptr,
-                                       slot);
+    op = std::make_unique<IndexScanOp>(
+        node->table, node->predicate, node->index_range, ctx_,
+        node == driving_leaf_ ? driving_->ranges : nullptr, slot());
   }
   return MaybeCancelGuard(MaybeProfile(std::move(op), node, ctx_.profile),
                           ctx_.cancel);
 }
 
+bool FragmentBuilder::Vectorizable(const PlanNode* node) const {
+  if (Blocked(node)) return true;
+  // An index scan has no batch form, and its consumers stay on the tuple
+  // path: bridging an index lookup's few rows into batch operators costs
+  // more than those operators save.
+  switch (node->kind) {
+    case PlanKind::kSeqScan:
+      return true;
+    case PlanKind::kAggregate:
+      return Vectorizable(node->left.get());
+    case PlanKind::kHashJoin: {
+      // Only the tuple HashJoinOp spills: spill-configured contexts stay on
+      // the tuple path so memory bounds keep holding.
+      if (ctx_.spill.temp_array != nullptr) return false;
+      // Non-int4 keys fall back to the tuple path, which only type-checks
+      // keys it actually extracts (all-NULL inputs pass).
+      const Schema& ls = node->left->output_schema;
+      const Schema& rs = node->right->output_schema;
+      if (node->left_key >= ls.num_columns() ||
+          ls.column(node->left_key).type != TypeId::kInt4 ||
+          node->right_key >= rs.num_columns() ||
+          rs.column(node->right_key).type != TypeId::kInt4)
+        return false;
+      return Vectorizable(node->left.get()) && Vectorizable(node->right.get());
+    }
+    default:
+      return false;
+  }
+}
+
+// The batch pipeline of a vectorizable subtree, each node bound to its
+// stats when ctx.profile is set.
+StatusOr<std::unique_ptr<BatchOperator>> FragmentBuilder::BuildBatch(
+    const PlanNode* node) {
+  if (Blocked(node)) {
+    XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, Leaf(node));
+    return std::unique_ptr<BatchOperator>(
+        std::make_unique<BatchFromTupleOp>(std::move(leaf), ctx_.batch_rows));
+  }
+  OperatorStats* stats =
+      ctx_.profile != nullptr ? ctx_.profile->StatsFor(node) : nullptr;
+  switch (node->kind) {
+    case PlanKind::kSeqScan: {
+      auto scan = std::make_unique<BatchSeqScanOp>(node->table, ctx_,
+                                                   DrivingPages(node), slot());
+      scan->set_profile_stats(stats);
+      if (node->predicate.IsTrue())
+        return std::unique_ptr<BatchOperator>(std::move(scan));
+      // The filter owns the node's opens / tuples_out / evals; the scan
+      // underneath contributes only pages_read.
+      scan->set_owns_node_stats(false);
+      auto filter =
+          std::make_unique<BatchFilterOp>(std::move(scan), node->predicate);
+      filter->set_profile_stats(stats);
+      return std::unique_ptr<BatchOperator>(std::move(filter));
+    }
+    case PlanKind::kAggregate: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> child,
+                            BuildBatch(node->left.get()));
+      // The aggregate reads only its agg / group columns: prune the rest
+      // out of the child pipeline (scans skip the decode, joins skip the
+      // copy). The root of a pipeline is never pruned, so results at the
+      // adapter boundary are unaffected.
+      std::vector<uint8_t> needed(child->schema().num_columns(), 0);
+      needed[node->agg_col] = 1;
+      if (node->group_col >= 0) needed[node->group_col] = 1;
+      child->PruneOutputColumns(needed);
+      auto op = std::make_unique<BatchAggregateOp>(
+          std::move(child), node->output_schema, node->agg_func,
+          node->agg_col, node->group_col, ctx_);
+      op->set_profile_stats(stats);
+      return std::unique_ptr<BatchOperator>(std::move(op));
+    }
+    case PlanKind::kHashJoin: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> outer,
+                            BuildBatch(node->left.get()));
+      const PlanNode* build_side = node->right.get();
+      std::unique_ptr<BatchOperator> op;
+      if (Blocked(build_side)) {
+        // As on the tuple path: every prober shares the input's one index.
+        XPRS_ASSIGN_OR_RETURN(const TempResult* temp, Input(build_side));
+        op = std::make_unique<BatchHashJoinOp>(
+            std::move(outer), temp, node->left_key, node->right_key, ctx_);
+      } else {
+        XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> inner,
+                              BuildBatch(build_side));
+        op = std::make_unique<BatchHashJoinOp>(
+            std::move(outer), std::move(inner), node->left_key,
+            node->right_key, ctx_);
+      }
+      op->set_profile_stats(stats);
+      return op;
+    }
+    default:
+      return Status::Internal("plan node is not vectorizable");
+  }
+}
+
 StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Build(
     const PlanNode* node) {
-  if (ForeignLeaf(node)) return Leaf(node);
+  if (Blocked(node)) return Leaf(node);
   // Vectorized mode: compile maximal batch-capable subtrees. Ancestors the
   // batch path cannot run (sort, merge join, ...) fall through to the tuple
-  // operators below, and their child recursion lands back here.
-  if (ctx_.vectorized && VectorizableSubtree(*node, ctx_, &hooks_))
-    return BuildVectorizedTree(*node, ctx_, &hooks_);
+  // operators below, and their child recursion lands back here. The
+  // adapter is the subtree's outermost cancellation point; it is not
+  // profiled (the batch operators own their nodes' stats).
+  if (ctx_.vectorized && Vectorizable(node)) {
+    XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> root,
+                          BuildBatch(node));
+    return std::unique_ptr<Operator>(
+        std::make_unique<VectorizedAdapterOp>(std::move(root), ctx_.cancel));
+  }
 
   std::unique_ptr<Operator> op;
   switch (node->kind) {
@@ -376,6 +470,13 @@ StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(const PlanNode& plan,
   whole.root = &plan;
   const std::map<int, const TempResult*> no_inputs;
   return FragmentBuilder(whole, no_inputs, ctx, nullptr).Build(&plan);
+}
+
+bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx) {
+  Fragment whole;
+  whole.root = &node;
+  const std::map<int, const TempResult*> no_inputs;
+  return FragmentBuilder(whole, no_inputs, ctx, nullptr).Vectorizable(&node);
 }
 
 StatusOr<TempResult> ExecuteFragment(

@@ -14,7 +14,11 @@
 // the serial executor builds the whole plan as one fragment with no
 // blocked inputs, the fragment executor builds one fragment, and each
 // slave of a parallel fragment run builds the same fragment with its
-// driving leaf bound to its slot of the shared partition.
+// driving leaf bound to its slot of the shared partition. With
+// ctx.vectorized the builder compiles every batch-capable subtree to batch
+// operators (exec/batch_ops.h), a slave's driving sequential scan included;
+// a blocked input's rows are the one tuple source bridged into a batch
+// subtree, and index scans keep their consumers on the tuple path.
 
 #ifndef XPRS_EXEC_FRAGMENT_H_
 #define XPRS_EXEC_FRAGMENT_H_
@@ -98,6 +102,12 @@ StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
 /// build, aggregate) run inline.
 StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(const PlanNode& plan,
                                                       const ExecContext& ctx);
+
+/// True when ctx.vectorized builds the whole subtree at `node` of a plan
+/// from batch operators: SeqScan / HashJoin / Aggregate nodes, where hash
+/// joins stay on the tuple path (which spills) when spilling is configured
+/// and when a join key is not int4. An index scan has no batch form.
+bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx);
 
 /// Executes one fragment serially with the given materialized inputs.
 StatusOr<TempResult> ExecuteFragment(

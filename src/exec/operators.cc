@@ -356,6 +356,7 @@ Status HashJoinOp::Open() {
 Status HashJoinOp::OpenImpl() {
   entry_ = entry_end_ = 0;
   spilled_ = false;
+  peak_held_rows_ = 0;
   probe_ = outer_.get();
   if (build_ != nullptr) {
     size_t inserted = 0;
@@ -373,10 +374,10 @@ Status HashJoinOp::OpenImpl() {
     XPRS_RETURN_IF_ERROR(inner_->Next(&tuple, &eof));
     if (eof) break;
     if (IsNull(tuple.value(right_key_))) continue;  // joins nothing
-    owned_rows_.push_back(std::move(tuple));
     if (spill_.temp_array != nullptr &&
-        owned_rows_.size() > spill_.memory_tuples)
-      return Spill();
+        owned_rows_.size() == spill_.memory_tuples)
+      return Spill(tuple);
+    owned_rows_.push_back(std::move(tuple));
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
   IndexOwnedRows();
@@ -386,28 +387,38 @@ Status HashJoinOp::OpenImpl() {
 void HashJoinOp::IndexOwnedRows() {
   owned_table_.Build(owned_rows_, right_key_);
   ProfBuildRows(owned_table_.size());
+  peak_held_rows_ = std::max(peak_held_rows_, owned_rows_.size());
   table_ = &owned_table_;
   rows_ = &owned_rows_;
 }
 
-// Grace hash join: partitions the held build rows, the rest of the build
-// input and the whole probe input, then stages partition 0. Next moves to
-// each further partition when the one before is probed out.
-Status HashJoinOp::Spill() {
+// Grace hash join: partitions the held build rows, the row that would
+// outgrow the budget, the rest of the build input and the whole probe
+// input. Each partition is then joined chunk by chunk (NextChunk), staged
+// when the probe input runs dry, so Next starts on an empty probe source.
+Status HashJoinOp::Spill(const Tuple& pending) {
   spilled_ = true;
-  XPRS_RETURN_IF_ERROR(
-      Partition(owned_rows_, inner_.get(), right_key_, &build_parts_));
+  peak_held_rows_ = std::max(peak_held_rows_, owned_rows_.size());
+  XPRS_RETURN_IF_ERROR(Partition(owned_rows_, &pending, inner_.get(),
+                                 right_key_, &build_parts_));
   owned_rows_.clear();
   XPRS_RETURN_IF_ERROR(outer_->Open());
   XPRS_RETURN_IF_ERROR(
-      Partition({}, outer_.get(), left_key_, &probe_parts_));
+      Partition({}, nullptr, outer_.get(), left_key_, &probe_parts_));
+  partition_ = 0;
+  build_cursor_.page = 0;
+  build_cursor_.slot = 0;
   partition_probe_.schema = outer_->schema();
-  return LoadPartition(0);
+  partition_probe_.tuples.clear();
+  probe_ = &partition_source_;
+  return partition_source_.Open();
 }
 
-// Routes `held`, then the rest of the open `input` (closed afterwards), to
-// kSpillPartitions new temp files by a hash of column `key`.
-Status HashJoinOp::Partition(const std::vector<Tuple>& held, Operator* input,
+// Routes `held`, `pending` (if set), then the rest of the open `input`
+// (closed afterwards), to kSpillPartitions new temp files by a hash of
+// column `key`.
+Status HashJoinOp::Partition(const std::vector<Tuple>& held,
+                             const Tuple* pending, Operator* input,
                              size_t key, Partitions* parts) {
   parts->clear();
   for (int i = 0; i < kSpillPartitions; ++i) {
@@ -422,6 +433,7 @@ Status HashJoinOp::Partition(const std::vector<Tuple>& held, Operator* input,
     return (*parts)[h % kSpillPartitions]->Append(tuple);
   };
   for (const Tuple& tuple : held) XPRS_RETURN_IF_ERROR(route(tuple));
+  if (pending != nullptr) XPRS_RETURN_IF_ERROR(route(*pending));
   for (;;) {
     Tuple tuple;
     bool eof;
@@ -440,35 +452,60 @@ Status HashJoinOp::Partition(const std::vector<Tuple>& held, Operator* input,
   return Status::OK();
 }
 
-Status HashJoinOp::ReadPartition(const HeapFile& file,
-                                 std::vector<Tuple>* rows) {
+// Replaces *rows with the rows of `file` from *at on, until it holds
+// `limit` rows or the file ends, and advances *at past them.
+Status HashJoinOp::ReadRows(const HeapFile& file, size_t limit,
+                            FileCursor* at, std::vector<Tuple>* rows) {
   rows->clear();
-  Page page;
-  for (uint32_t p = 0; p < file.num_pages(); ++p) {
-    XPRS_RETURN_IF_ERROR(file.ReadPage(p, &page));
-    ProfPagesRead(1);
-    for (uint16_t s = 0; s < page.num_tuples(); ++s) {
+  while (rows->size() < limit && at->page < file.num_pages()) {
+    if (at->slot == 0) {
+      XPRS_RETURN_IF_ERROR(file.ReadPage(at->page, &at->buffer));
+      ProfPagesRead(1);
+    }
+    if (at->slot < at->buffer.num_tuples()) {
       const uint8_t* data;
       uint16_t size;
-      XPRS_RETURN_IF_ERROR(page.GetTuple(s, &data, &size));
+      XPRS_RETURN_IF_ERROR(at->buffer.GetTuple(at->slot++, &data, &size));
       XPRS_ASSIGN_OR_RETURN(Tuple tuple,
                             Tuple::Deserialize(file.schema(), data, size));
       rows->push_back(std::move(tuple));
+    }
+    if (at->slot >= at->buffer.num_tuples()) {
+      ++at->page;
+      at->slot = 0;
     }
   }
   return Status::OK();
 }
 
-// Indexes partition `index`'s build rows and makes its probe rows the
-// probe input.
-Status HashJoinOp::LoadPartition(int index) {
-  partition_ = index;
-  XPRS_RETURN_IF_ERROR(ReadPartition(*build_parts_[index], &owned_rows_));
-  IndexOwnedRows();
-  XPRS_RETURN_IF_ERROR(
-      ReadPartition(*probe_parts_[index], &partition_probe_.tuples));
-  probe_ = &partition_source_;
-  return partition_source_.Open();
+// Stages the spilled join's next build chunk: the next at most
+// spill.memory_tuples build rows of partition partition_, or else the
+// first chunk of the next partition that has build rows. Each build row is
+// in exactly one chunk, and the partition's probe rows (read once per
+// partition) are replayed against every chunk, so each match is emitted
+// once. False when every partition is joined.
+StatusOr<bool> HashJoinOp::NextChunk() {
+  const size_t limit = std::max<size_t>(1, spill_.memory_tuples);
+  for (;;) {
+    const bool first_chunk =
+        build_cursor_.page == 0 && build_cursor_.slot == 0;
+    XPRS_RETURN_IF_ERROR(ReadRows(*build_parts_[partition_], limit,
+                                  &build_cursor_, &owned_rows_));
+    if (!owned_rows_.empty()) {
+      if (first_chunk) {
+        FileCursor from_start;
+        XPRS_RETURN_IF_ERROR(ReadRows(*probe_parts_[partition_], SIZE_MAX,
+                                      &from_start, &partition_probe_.tuples));
+      }
+      IndexOwnedRows();
+      XPRS_RETURN_IF_ERROR(partition_source_.Open());
+      return true;
+    }
+    if (partition_ + 1 == kSpillPartitions) return false;
+    ++partition_;
+    build_cursor_.page = 0;
+    build_cursor_.slot = 0;
+  }
 }
 
 Status HashJoinOp::Next(Tuple* out, bool* eof) {
@@ -484,9 +521,9 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
     bool outer_eof;
     XPRS_RETURN_IF_ERROR(probe_->Next(&outer_tuple_, &outer_eof));
     if (outer_eof) {
-      if (spilled_ && partition_ + 1 < kSpillPartitions) {
-        XPRS_RETURN_IF_ERROR(LoadPartition(partition_ + 1));
-        continue;
+      if (spilled_) {
+        XPRS_ASSIGN_OR_RETURN(bool staged, NextChunk());
+        if (staged) continue;
       }
       *eof = true;
       return Status::OK();

@@ -68,10 +68,13 @@ struct ExecContext {
   /// Trace/metrics target for resilience events raised on the execution
   /// path (backpressure retries, degradations). Optional.
   Observability obs;
-  /// When true, plan builders compile vectorizable subtrees (SeqScan /
+  /// When true, the plan builder compiles vectorizable subtrees (SeqScan /
   /// HashJoin / Aggregate; see exec/batch_ops.h) to batch-at-a-time
-  /// operators bridged through a VectorizedAdapterOp. Plans (or subtrees)
-  /// the batch path cannot run fall back to the tuple operators.
+  /// operators bridged through a VectorizedAdapterOp, in every mode: the
+  /// master hands it to every slave, whose driving scan then reads its slot
+  /// into batches. Plans (or subtrees) the batch path cannot run fall back
+  /// to the tuple operators. The serving engine sets it for every
+  /// statement; off, it is the tuple engine the oracle trusts.
   bool vectorized = false;
   /// Target rows per ColumnBatch on the vectorized path.
   size_t batch_rows = 1024;
@@ -316,10 +319,14 @@ class TempSourceOp : public Operator {
 /// drains the inner operator on Open and owns the rows. Given a temp array
 /// it is also the grace hash join of the §5 memory extension: once the
 /// build rows it holds (NULL keys join nothing and are dropped first)
-/// outgrow spill.memory_tuples, it hash-partitions those rows, the rest of
-/// the build input and the whole probe input into kSpillPartitions
-/// temporary heap files per side, then joins each partition pair in memory
-/// with the same table and probe loop. The fragment form probes a
+/// would outgrow spill.memory_tuples, it hash-partitions those rows, the
+/// rest of the build input and the whole probe input into kSpillPartitions
+/// temporary heap files per side, then joins each partition in build chunks
+/// of at most spill.memory_tuples rows: it indexes a chunk with the same
+/// table, runs the partition's probe rows against it with the same probe
+/// loop, and repeats until the partition's build rows are used up. So the
+/// budget bounds the build rows held whatever the key skew (a partition of
+/// one key cannot be split by hashing). The fragment form probes a
 /// materialized fragment input through the index that input shares with
 /// every other prober (TempResult::JoinIndex); it never spills, as those
 /// rows already sit in shared memory.
@@ -346,16 +353,28 @@ class HashJoinOp : public Operator {
     return build_parts_.size() + probe_parts_.size();
   }
 
+  /// Most build rows the join held in memory at once since the last Open
+  /// (0 for the fragment form, which borrows its rows). A join that may
+  /// spill holds at most spill.memory_tuples.
+  size_t peak_held_rows() const { return peak_held_rows_; }
+
  private:
   using Partitions = std::vector<std::unique_ptr<HeapFile>>;
+  // A read position in a partition file, with the page it is in.
+  struct FileCursor {
+    uint32_t page = 0;
+    uint16_t slot = 0;
+    Page buffer;  // page `page`, once slot > 0
+  };
 
   Status OpenImpl();
   void IndexOwnedRows();
-  Status Spill();
-  Status Partition(const std::vector<Tuple>& held, Operator* input,
-                   size_t key, Partitions* parts);
-  Status ReadPartition(const HeapFile& file, std::vector<Tuple>* rows);
-  Status LoadPartition(int index);
+  Status Spill(const Tuple& pending);
+  Status Partition(const std::vector<Tuple>& held, const Tuple* pending,
+                   Operator* input, size_t key, Partitions* parts);
+  Status ReadRows(const HeapFile& file, size_t limit, FileCursor* at,
+                  std::vector<Tuple>* rows);
+  StatusOr<bool> NextChunk();
 
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;  // serial form only
@@ -372,11 +391,15 @@ class HashJoinOp : public Operator {
   int32_t probe_key_ = 0;
   uint32_t entry_ = 0, entry_end_ = 0;  // unvisited part of the bucket
 
-  // Spilled: owned_rows_ and owned_table_ hold partition partition_.
+  size_t peak_held_rows_ = 0;
+
+  // Spilled: owned_rows_ and owned_table_ hold a chunk of partition
+  // partition_'s build rows, read up to build_cursor_.
   bool spilled_ = false;
   Partitions build_parts_;
   Partitions probe_parts_;
   int partition_ = 0;
+  FileCursor build_cursor_;
   TempResult partition_probe_;
   TempSourceOp partition_source_{&partition_probe_};
 };

@@ -165,7 +165,9 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
   };
 
   // The closure owns the token (keeps it alive past a dropped handle) and
-  // the prepared statement, and runs it as the scheduler's grant says.
+  // the prepared statement, and runs it as the scheduler's grant says, on
+  // the batch operators wherever the plan has them (every slave too):
+  // index lookups and a spill-degraded statement's hash joins stay tuple.
   // With the slow-query log armed, every statement runs profiled so an
   // entry can name the operators the time went to.
   request.job = [this, sql, statement = std::move(*prepared), token,
@@ -173,6 +175,7 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
                  replay_seed = options.replay_seed, session_id = session->id()](
                     const ExecGrant& grant) -> StatusOr<SqlResult> {
     RunOptions run;
+    run.ctx.vectorized = true;
     run.ctx.cancel = grant.cancel;
     run.ctx.obs = options_.serve.obs;
     if (pool_ != nullptr) {

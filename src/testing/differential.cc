@@ -138,12 +138,13 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
 }
 
 StatusOr<std::vector<Tuple>> DifferentialOracle::RunMaster(
-    const PlanNode& plan, bool chaos) {
+    const PlanNode& plan, bool chaos, bool vectorized) {
   MachineConfig machine;
   machine.num_cpus = 4;
   MasterOptions master_options;
   master_options.sched.policy = SchedPolicy::kInterWithAdj;
   master_options.max_slots = options_.max_slots;
+  master_options.ctx.vectorized = vectorized;
   if (chaos) {
     master_options.retry = options_.chaos_retry;
     master_options.obs = options_.chaos_obs;
@@ -316,6 +317,13 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
       XPRS_RETURN_IF_ERROR(
           Compare(plan, StrFormat("vectorized-parallel(%d)", degree),
                   reference, got));
+    }
+    // The master with vectorized slaves, as the serving engine runs it.
+    if (options_.run_master) {
+      XPRS_ASSIGN_OR_RETURN(
+          std::vector<Tuple> got,
+          RunMaster(plan, /*chaos=*/false, /*vectorized=*/true));
+      XPRS_RETURN_IF_ERROR(Compare(plan, "vectorized-master", reference, got));
     }
   }
   return Status::OK();
@@ -741,44 +749,50 @@ Status DifferentialOracle::CheckScanIoConservation(Table* table) {
   }
 
   // The scan as a one-node fragment, run as the master runs it: slaves pull
-  // pages from one adjustable partition, which is re-cut once mid-scan.
+  // pages from one adjustable partition, which is re-cut once mid-scan. A
+  // vectorized slave scans its slot with the batch scan.
   std::unique_ptr<PlanNode> plan = MakeSeqScan(table, Predicate());
   FragmentGraph graph = FragmentGraph::Decompose(*plan);
-  for (int degree : options_.degrees) {
-    QueryProfile profile(plan.get());
-    ParallelFragmentRun::Options run_options;
-    run_options.initial_parallelism = degree;
-    run_options.max_slots = std::max(options_.max_slots, degree + 1);
-    run_options.ctx.profile = &profile;
-    // Any parallelism but the current one, so the rendezvous moves pages.
-    int adjust_to = 1 + static_cast<int>(rng_.NextUint64(
-                            static_cast<uint64_t>(run_options.max_slots - 1)));
-    if (adjust_to >= degree) ++adjust_to;
+  for (bool vectorized : {false, true}) {
+    for (int degree : options_.degrees) {
+      QueryProfile profile(plan.get());
+      ParallelFragmentRun::Options run_options;
+      run_options.initial_parallelism = degree;
+      run_options.max_slots = std::max(options_.max_slots, degree + 1);
+      run_options.ctx.profile = &profile;
+      run_options.ctx.vectorized = vectorized;
+      // Any parallelism but the current one, so the rendezvous moves pages.
+      int adjust_to =
+          1 + static_cast<int>(rng_.NextUint64(
+                  static_cast<uint64_t>(run_options.max_slots - 1)));
+      if (adjust_to >= degree) ++adjust_to;
 
-    array_->ResetStats();
-    ParallelFragmentRun run(&graph, graph.root_fragment(), {}, run_options);
-    XPRS_RETURN_IF_ERROR(run.Start());
-    run.Adjust(adjust_to);
-    XPRS_ASSIGN_OR_RETURN(TempResult merged, run.Wait());
-    const uint64_t partition_pages =
-        profile.StatsFor(plan.get())->pages_read.load();
-    const uint64_t partition_reads = array_->total_stats().reads;
-    // §2.2: parallelism rescales time, never the io demand D_i. The slaves
-    // must cover the serial page set exactly, both as counted by the scans
-    // and as served by the array.
-    if (partition_pages != serial_pages || partition_reads != serial_reads) {
-      return Status::Internal(StrFormat(
-          "io conservation violated on %s at degree %d (adjusted to %d): "
-          "serial %d pages (%d array reads), slaves %d pages (%d array "
-          "reads)",
-          table->name().c_str(), degree, adjust_to,
-          static_cast<int>(serial_pages), static_cast<int>(serial_reads),
-          static_cast<int>(partition_pages),
-          static_cast<int>(partition_reads)));
+      array_->ResetStats();
+      ParallelFragmentRun run(&graph, graph.root_fragment(), {}, run_options);
+      XPRS_RETURN_IF_ERROR(run.Start());
+      run.Adjust(adjust_to);
+      XPRS_ASSIGN_OR_RETURN(TempResult merged, run.Wait());
+      const uint64_t partition_pages =
+          profile.StatsFor(plan.get())->pages_read.load();
+      const uint64_t partition_reads = array_->total_stats().reads;
+      const std::string mode =
+          StrFormat("%sparallel-scan(%d)", vectorized ? "vectorized-" : "",
+                    degree);
+      // §2.2: parallelism rescales time, never the io demand D_i. The
+      // slaves must cover the serial page set exactly, both as counted by
+      // the scans and as served by the array.
+      if (partition_pages != serial_pages || partition_reads != serial_reads) {
+        return Status::Internal(StrFormat(
+            "io conservation violated on %s in mode %s (adjusted to %d): "
+            "serial %d pages (%d array reads), slaves %d pages (%d array "
+            "reads)",
+            table->name().c_str(), mode.c_str(), adjust_to,
+            static_cast<int>(serial_pages), static_cast<int>(serial_reads),
+            static_cast<int>(partition_pages),
+            static_cast<int>(partition_reads)));
+      }
+      XPRS_RETURN_IF_ERROR(Compare(*plan, mode, reference, merged.tuples));
     }
-    XPRS_RETURN_IF_ERROR(Compare(*plan,
-                                 StrFormat("parallel-scan(%d)", degree),
-                                 reference, merged.tuples));
   }
   array_->ResetStats();
   return Status::OK();

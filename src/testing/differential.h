@@ -26,7 +26,8 @@
 //   - vectorized       ctx.vectorized batch execution (exec/batch_ops.h),
 //                      run bare, with a tiny batch size (carry-over state),
 //                      fragmented, pooled (zero pinned frames), profiled
-//                      (root tuples_out must match), and parallel
+//                      (root tuples_out must match), parallel, and under
+//                      the master, as the serving engine runs statements
 //   - concurrent       the whole plan set replayed through the serve
 //                      QueryScheduler with several sessions submitting in
 //                      parallel against a shared buffer pool
@@ -36,7 +37,8 @@
 // checked with ValidateFragmentGraph, and CheckScanIoConservation asserts
 // the §2.2 fluid-model premise that a task's total io demand D_i is a
 // property of the task — a parallel scan at any degree, adjusted mid-scan,
-// must read exactly the pages the serial scan reads, no more, no fewer.
+// tuple or batch, must read exactly the pages the serial scan reads, no
+// more, no fewer.
 //
 // CheckFaultSurfacing arms the storage fault hooks (disk-array read,
 // buffer-pool fetch, short write during spill) one at a time and asserts
@@ -186,8 +188,9 @@ class DifferentialOracle {
   Status CheckPlansConcurrentChaos(const std::vector<const PlanNode*>& plans);
 
   /// §2.2 io conservation: `table` scanned by a ParallelFragmentRun at
-  /// every configured degree, with one mid-scan adjustment, reads exactly
-  /// the serial scan's pages and returns exactly its rows.
+  /// every configured degree, with tuple and with vectorized slaves and one
+  /// mid-scan adjustment, reads exactly the serial scan's pages and returns
+  /// exactly its rows.
   Status CheckScanIoConservation(Table* table);
 
   const DifferentialReport& report() const { return report_; }
@@ -205,7 +208,8 @@ class DifferentialOracle {
   // on the master so injected faults are retried / degraded instead of
   // failing the run outright.
   StatusOr<std::vector<Tuple>> RunMaster(const PlanNode& plan,
-                                         bool chaos = false);
+                                         bool chaos = false,
+                                         bool vectorized = false);
   // One armed-hook case: runs `plan` under `ctx`, asserting a fired fault
   // surfaces as Status and a clean retry matches `reference`.
   Status FaultCase(const PlanNode& plan, const Canon& reference,

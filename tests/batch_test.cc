@@ -351,20 +351,19 @@ TEST_F(BatchExecTest, NonVectorizableRootFallsBack) {
 
 TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   ExecContext plain;
-  EXPECT_TRUE(
-      VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain, nullptr));
+  EXPECT_TRUE(VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain));
   EXPECT_TRUE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      plain, nullptr));
+      plain));
   EXPECT_FALSE(VectorizableSubtree(*MakeSort(MakeSeqScan(r_, Predicate()), 0),
-                                   plain, nullptr));
+                                   plain));
   // Text join keys fall back to the tuple path (it never type-checks keys
   // it does not extract, and batch columns are int4-keyed).
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     1, 1),
-      plain, nullptr));
+      plain));
   // Joins that may spill stay on the tuple path: only HashJoinOp spills.
   ExecContext spilling = plain;
   DiskArray temp(1, DiskMode::kInstant);
@@ -373,7 +372,7 @@ TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      spilling, nullptr));
+      spilling));
 }
 
 TEST_F(BatchExecTest, CancellationStopsVectorizedRun) {
@@ -421,9 +420,39 @@ TEST_F(BatchExecTest, ProfiledVectorizedRunCountsRootRows) {
   EXPECT_EQ(scan->tuples_out.load(), 50u);
 }
 
+// Forwards its child and counts the Next calls made after the child
+// reported end of input.
+class EofCountingOp : public Operator {
+ public:
+  EofCountingOp(std::unique_ptr<Operator> child, int* calls_after_eof)
+      : child_(std::move(child)), calls_after_eof_(calls_after_eof) {}
+
+  Status Open() override {
+    done_ = false;
+    return child_->Open();
+  }
+  Status Next(Tuple* out, bool* eof) override {
+    if (done_) ++*calls_after_eof_;
+    XPRS_RETURN_IF_ERROR(child_->Next(out, eof));
+    done_ = *eof;
+    return Status::OK();
+  }
+  Status Close() override { return child_->Close(); }
+  const Schema& schema() const override { return child_->schema(); }
+
+ private:
+  std::unique_ptr<Operator> child_;
+  int* const calls_after_eof_;
+  bool done_ = false;
+};
+
 TEST_F(BatchExecTest, BatchFromTupleBridgesTupleSources) {
-  auto scan = std::make_unique<SeqScanOp>(s_, Predicate::Between(0, 0, 9),
-                                          ctx_);
+  // The bridge never asks its child again after end of input: a source on
+  // a slave's slot would ask the shared partition for more pages.
+  int calls_after_eof = 0;
+  auto scan = std::make_unique<EofCountingOp>(
+      std::make_unique<SeqScanOp>(s_, Predicate::Between(0, 0, 9), ctx_),
+      &calls_after_eof);
   BatchFromTupleOp bridge(std::move(scan), /*batch_rows=*/7);
   ASSERT_TRUE(bridge.Open().ok());
   ColumnBatch batch;
@@ -437,6 +466,7 @@ TEST_F(BatchExecTest, BatchFromTupleBridgesTupleSources) {
   }
   ASSERT_TRUE(bridge.Close().ok());
   EXPECT_EQ(rows, 20u);  // keys 0..9, each twice
+  EXPECT_EQ(calls_after_eof, 0);
 }
 
 }  // namespace

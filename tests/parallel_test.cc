@@ -392,7 +392,7 @@ TEST_F(FragmentRunTest, MasterBuildsEachHashTableOnce) {
   // The build fragment's output is indexed once, and every slave of the
   // probe fragment probes that one table. So at 4 slots the profile counts
   // each build row once, as the serial run does, also when the probe gains
-  // slaves mid-run.
+  // slaves mid-run, and on the batch path as on the tuple path.
   auto plan = MakeHashJoin(MakeSeqScan(r_, Predicate()),
                            MakeSeqScan(s_, Predicate()), 0, 0);
   QueryProfile serial_profile(plan.get());
@@ -404,36 +404,42 @@ TEST_F(FragmentRunTest, MasterBuildsEachHashTableOnce) {
 
   const CostModel model;
   SlowReads slow_reads;
-  for (bool adjust : {false, true}) {
-    SCOPED_TRACE(adjust ? "mid-probe adjust" : "no adjust");
-    QueryProfile profile(plan.get());
-    MasterOptions options;
-    options.max_slots = 4;
-    options.ctx = ctx_;
-    options.ctx.profile = &profile;
-    std::unique_ptr<ParallelMaster> master;
-    if (adjust) {
-      master = std::make_unique<MidProbeAdjustMaster>(
-          MachineConfig::PaperConfig(), &model, options);
-      array_->SetFaultInjector(&slow_reads);
-    } else {
-      master = std::make_unique<ParallelMaster>(MachineConfig::PaperConfig(),
-                                                &model, options);
-    }
-    auto run = master->Run({{plan.get(), /*query_id=*/0}});
-    array_->SetFaultInjector(nullptr);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (bool vectorized : {false, true}) {
+    for (bool adjust : {false, true}) {
+      SCOPED_TRACE(adjust ? "mid-probe adjust" : "no adjust");
+      SCOPED_TRACE(vectorized ? "vectorized" : "tuple");
+      QueryProfile profile(plan.get());
+      MasterOptions options;
+      options.max_slots = 4;
+      options.ctx = ctx_;
+      options.ctx.profile = &profile;
+      options.ctx.vectorized = vectorized;
+      std::unique_ptr<ParallelMaster> master;
+      if (adjust) {
+        master = std::make_unique<MidProbeAdjustMaster>(
+            MachineConfig::PaperConfig(), &model, options);
+        array_->SetFaultInjector(&slow_reads);
+      } else {
+        master = std::make_unique<ParallelMaster>(MachineConfig::PaperConfig(),
+                                                  &model, options);
+      }
+      auto run = master->Run({{plan.get(), /*query_id=*/0}});
+      array_->SetFaultInjector(nullptr);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-    EXPECT_EQ(Normalize(run->query_results.at(0)), Normalize(*serial));
-    EXPECT_EQ(BuildRows(profile), BuildRows(serial_profile));
-    bool saw_probe = false;
-    for (const FragmentStats& frag : profile.fragments()) {
-      if (frag.frag_id != 0) continue;  // the build fragment
-      saw_probe = true;
-      EXPECT_GT(frag.slaves_spawned, 1) << "the probe never ran parallel";
-      if (adjust) EXPECT_GE(frag.adjustments, 1);
+      EXPECT_EQ(Normalize(run->query_results.at(0)), Normalize(*serial));
+      EXPECT_EQ(BuildRows(profile), BuildRows(serial_profile));
+      bool saw_probe = false;
+      for (const FragmentStats& frag : profile.fragments()) {
+        if (frag.frag_id != 0) continue;  // the build fragment
+        saw_probe = true;
+        EXPECT_GT(frag.slaves_spawned, 1) << "the probe never ran parallel";
+        if (adjust) {
+          EXPECT_GE(frag.adjustments, 1);
+        }
+      }
+      EXPECT_TRUE(saw_probe);
     }
-    EXPECT_TRUE(saw_probe);
   }
 }
 

@@ -227,6 +227,44 @@ TEST_F(SpillTest, HashJoinBudgetCountsOnlyRowsItHolds) {
   EXPECT_EQ(rows->size(), 40u);  // s_ holds keys 0..99 twice
 }
 
+// A spilled join holds at most its budget of build rows, whatever the key
+// skew: it joins each partition in budget-sized build chunks, because
+// hashing cannot split a partition that holds one key.
+TEST_F(SpillTest, SpilledHashJoinHoldsAtMostItsBudget) {
+  for (const bool one_key : {false, true}) {
+    SCOPED_TRACE(one_key ? "one key" : "distinct keys");
+    Table* build = catalog_
+                       ->CreateTable(one_key ? "one_key" : "distinct",
+                                     Schema::PaperSchema())
+                       .value();
+    for (int i = 0; i < 2000; ++i) {
+      const int32_t key = one_key ? 7 : i;
+      ASSERT_TRUE(
+          build->file().Append(Tuple({Value(key), Value(std::string("b"))}))
+              .ok());
+    }
+    ASSERT_TRUE(build->file().Flush().ok());
+    const Predicate probe = Predicate::Between(0, 0, 49);  // keys 0..49 twice
+    auto reference =
+        ExecutePlanSequential(*MakeNestLoopJoin(MakeSeqScan(s_, probe),
+                                                MakeSeqScan(build, Predicate()),
+                                                0, 0),
+                              plain_)
+            .value();
+    EXPECT_EQ(reference.size(), one_key ? 4000u : 100u);
+
+    auto outer = std::make_unique<SeqScanOp>(s_, probe, plain_);
+    auto inner = std::make_unique<SeqScanOp>(build, Predicate(), plain_);
+    HashJoinOp join(std::move(outer), std::move(inner), 0, 0, Spilling(64));
+    auto rows = Drain(&join);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_TRUE(join.spilled());
+    EXPECT_LE(join.peak_held_rows(), 64u);
+    EXPECT_EQ(join.open_partitions(), 0u);
+    EXPECT_EQ(Normalize(*rows), Normalize(reference));
+  }
+}
+
 // Forwards its child and cancels the token after `after` tuples, so a
 // blocking consumer (sort / hash-join drain) observes the cancellation
 // mid-spill, from inside its own Open.

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_obs.h"
 #include "exec/executor.h"
 #include "opt/cost_model.h"
@@ -70,17 +72,72 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup);
 
-void BM_BufferPoolHit(benchmark::State& state) {
-  DiskArray array(4, DiskMode::kInstant);
-  for (int i = 0; i < 64; ++i) array.AllocateBlock();
-  BufferPool pool(&array, 128);
-  Rng rng(TestSeed(3));
+// The storage layer's number: one buffer pool shared by 1 and 4 threads.
+// In the strided pattern each of n threads fetches every n-th block of a
+// scan set, as the §2.4 slaves of a grant-n scan do; in the random pattern
+// each thread fetches uniformly random blocks, as concurrent point lookups
+// do. items_per_second counts fetches per second of wall time over all
+// threads, so it rises with the thread count only while the pool's locks
+// do not serialize the threads. Thread 0 sets the pool up before the timed
+// loop and tears it down after; google-benchmark starts and stops all
+// threads' loops together.
+struct SharedPool {
+  SharedPool(BlockId blocks, size_t frames) : array(4, DiskMode::kInstant) {
+    for (BlockId b = 0; b < blocks; ++b) array.AllocateBlock();
+    pool = std::make_unique<BufferPool>(&array, frames);
+  }
+  DiskArray array;
+  std::unique_ptr<BufferPool> pool;
+};
+std::unique_ptr<SharedPool> shared_pool;
+
+enum class Access { kStrided, kRandom };
+
+void SharedPoolFetches(benchmark::State& state, BlockId blocks,
+                       size_t frames, Access access) {
+  if (state.thread_index() == 0) {
+    shared_pool = std::make_unique<SharedPool>(blocks, frames);
+    for (BlockId b = 0; b < blocks; ++b) (void)shared_pool->pool->Fetch(b);
+  }
+  const BlockId first = static_cast<BlockId>(state.thread_index());
+  const BlockId stride = static_cast<BlockId>(state.threads());
+  BlockId block = first;
+  Rng rng(TestSeed(3) + static_cast<uint64_t>(state.thread_index()));
   for (auto _ : state) {
-    auto h = pool.Fetch(static_cast<BlockId>(rng.NextUint64(64)));
+    if (access == Access::kRandom) {
+      block = static_cast<BlockId>(rng.NextUint64(blocks));
+    }
+    auto h = shared_pool->pool->Fetch(block);
     benchmark::DoNotOptimize(h.ok());
+    block += stride;
+    if (block >= blocks) block = first;
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    state.counters["hit_ratio"] = shared_pool->pool->stats().hit_rate();
+    shared_pool.reset();
   }
 }
-BENCHMARK(BM_BufferPoolHit);
+
+// 1,024 resident blocks in 1,024 frames: every fetch is a hit.
+void BM_BufferPoolHit(benchmark::State& state) {
+  SharedPoolFetches(state, 1024, 1024, Access::kStrided);
+}
+BENCHMARK(BM_BufferPoolHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// The same resident blocks fetched at random: threads meet on the same
+// shards and frames, where the strided threads keep apart.
+void BM_BufferPoolRandomHit(benchmark::State& state) {
+  SharedPoolFetches(state, 1024, 1024, Access::kRandom);
+}
+BENCHMARK(BM_BufferPoolRandomHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// A 465-block scan set through 256 frames: the clock evicts ahead of every
+// scan, so nearly every fetch misses (hit_ratio near 0).
+void BM_BufferPoolScanMiss(benchmark::State& state) {
+  SharedPoolFetches(state, 465, 256, Access::kStrided);
+}
+BENCHMARK(BM_BufferPoolScanMiss)->Threads(1)->Threads(4)->UseRealTime();
 
 struct HashJoinFixture {
   HashJoinFixture() : array(4, DiskMode::kInstant), catalog(&array) {

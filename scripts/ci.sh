@@ -265,16 +265,18 @@ echo "==> [8/10] tsan config (concurrency subset)"
 # to: the cancellation token, the done-queue control loop, the retry
 # ladder re-launching fragment runs, buffer-pool admission counters, the
 # serving layer's scheduler/session machinery, one prepared statement
-# run from many threads at once (sql_test), and the differential oracle's
+# run from many threads at once (sql_test), the differential oracle's
 # multi-threaded modes (concurrent, concurrent-chaos, parallel(d),
-# vectorized-parallel).
+# vectorized-parallel), and the storage layer's own concurrency
+# (storage_test: the sharded buffer pool's concurrent fetches and load
+# waits, and disk-array reads racing block allocation).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
-  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload|sql|differential)_test' \
+  -R '(storage|fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload|sql|differential)_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "==> [9/10] fixed-seed chaos smoke (tier1-gated)"

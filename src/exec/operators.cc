@@ -356,7 +356,7 @@ Status HashJoinOp::Open() {
 Status HashJoinOp::OpenImpl() {
   entry_ = entry_end_ = 0;
   spilled_ = false;
-  peak_held_rows_ = 0;
+  peak_held_rows_ = peak_held_probe_rows_ = 0;
   probe_ = outer_.get();
   if (build_ != nullptr) {
     size_t inserted = 0;
@@ -394,7 +394,7 @@ void HashJoinOp::IndexOwnedRows() {
 
 // Grace hash join: partitions the held build rows, the row that would
 // outgrow the budget, the rest of the build input and the whole probe
-// input. Each partition is then joined chunk by chunk (NextChunk), staged
+// input. Each partition is then joined piece by piece (NextPiece), staged
 // when the probe input runs dry, so Next starts on an empty probe source.
 Status HashJoinOp::Spill(const Tuple& pending) {
   spilled_ = true;
@@ -478,28 +478,34 @@ Status HashJoinOp::ReadRows(const HeapFile& file, size_t limit,
   return Status::OK();
 }
 
-// Stages the spilled join's next build chunk: the next at most
-// spill.memory_tuples build rows of partition partition_, or else the
-// first chunk of the next partition that has build rows. Each build row is
-// in exactly one chunk, and the partition's probe rows (read once per
-// partition) are replayed against every chunk, so each match is emitted
-// once. False when every partition is joined.
-StatusOr<bool> HashJoinOp::NextChunk() {
+// Stages the spilled join's next piece of work: the next at most
+// spill.memory_tuples probe rows of partition partition_ against the build
+// chunk indexed now, or else the next chunk of at most that many build
+// rows (of partition_, or of the next partition that has build rows) with
+// the first piece of the partition's probe rows. Each build row is in
+// exactly one chunk, and the partition's probe file is replayed once per
+// chunk, so each match is emitted once. False when every partition is
+// joined.
+StatusOr<bool> HashJoinOp::NextPiece() {
   const size_t limit = std::max<size_t>(1, spill_.memory_tuples);
   for (;;) {
-    const bool first_chunk =
-        build_cursor_.page == 0 && build_cursor_.slot == 0;
+    if (!owned_rows_.empty()) {
+      XPRS_RETURN_IF_ERROR(ReadRows(*probe_parts_[partition_], limit,
+                                    &probe_cursor_, &partition_probe_.tuples));
+      if (!partition_probe_.tuples.empty()) {
+        peak_held_probe_rows_ =
+            std::max(peak_held_probe_rows_, partition_probe_.tuples.size());
+        XPRS_RETURN_IF_ERROR(partition_source_.Open());
+        return true;
+      }
+    }
     XPRS_RETURN_IF_ERROR(ReadRows(*build_parts_[partition_], limit,
                                   &build_cursor_, &owned_rows_));
     if (!owned_rows_.empty()) {
-      if (first_chunk) {
-        FileCursor from_start;
-        XPRS_RETURN_IF_ERROR(ReadRows(*probe_parts_[partition_], SIZE_MAX,
-                                      &from_start, &partition_probe_.tuples));
-      }
       IndexOwnedRows();
-      XPRS_RETURN_IF_ERROR(partition_source_.Open());
-      return true;
+      probe_cursor_.page = 0;
+      probe_cursor_.slot = 0;
+      continue;
     }
     if (partition_ + 1 == kSpillPartitions) return false;
     ++partition_;
@@ -522,7 +528,7 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
     XPRS_RETURN_IF_ERROR(probe_->Next(&outer_tuple_, &outer_eof));
     if (outer_eof) {
       if (spilled_) {
-        XPRS_ASSIGN_OR_RETURN(bool staged, NextChunk());
+        XPRS_ASSIGN_OR_RETURN(bool staged, NextPiece());
         if (staged) continue;
       }
       *eof = true;

@@ -323,10 +323,11 @@ class TempSourceOp : public Operator {
 /// rest of the build input and the whole probe input into kSpillPartitions
 /// temporary heap files per side, then joins each partition in build chunks
 /// of at most spill.memory_tuples rows: it indexes a chunk with the same
-/// table, runs the partition's probe rows against it with the same probe
-/// loop, and repeats until the partition's build rows are used up. So the
-/// budget bounds the build rows held whatever the key skew (a partition of
-/// one key cannot be split by hashing). The fragment form probes a
+/// table, replays the partition's probe file against it in pieces of at
+/// most spill.memory_tuples rows with the same probe loop, and repeats
+/// until the partition's build rows are used up. So the budget bounds the
+/// build rows and the probe rows held whatever the key skew (a partition
+/// of one key cannot be split by hashing). The fragment form probes a
 /// materialized fragment input through the index that input shares with
 /// every other prober (TempResult::JoinIndex); it never spills, as those
 /// rows already sit in shared memory.
@@ -358,6 +359,10 @@ class HashJoinOp : public Operator {
   /// spill holds at most spill.memory_tuples.
   size_t peak_held_rows() const { return peak_held_rows_; }
 
+  /// Most spilled probe rows the join held in memory at once since the
+  /// last Open (0 unless it spilled); at most spill.memory_tuples.
+  size_t peak_held_probe_rows() const { return peak_held_probe_rows_; }
+
  private:
   using Partitions = std::vector<std::unique_ptr<HeapFile>>;
   // A read position in a partition file, with the page it is in.
@@ -374,7 +379,7 @@ class HashJoinOp : public Operator {
                    Operator* input, size_t key, Partitions* parts);
   Status ReadRows(const HeapFile& file, size_t limit, FileCursor* at,
                   std::vector<Tuple>* rows);
-  StatusOr<bool> NextChunk();
+  StatusOr<bool> NextPiece();
 
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;  // serial form only
@@ -392,14 +397,17 @@ class HashJoinOp : public Operator {
   uint32_t entry_ = 0, entry_end_ = 0;  // unvisited part of the bucket
 
   size_t peak_held_rows_ = 0;
+  size_t peak_held_probe_rows_ = 0;
 
   // Spilled: owned_rows_ and owned_table_ hold a chunk of partition
-  // partition_'s build rows, read up to build_cursor_.
+  // partition_'s build rows, read up to build_cursor_, and
+  // partition_probe_ a piece of its probe rows, read up to probe_cursor_.
   bool spilled_ = false;
   Partitions build_parts_;
   Partitions probe_parts_;
   int partition_ = 0;
   FileCursor build_cursor_;
+  FileCursor probe_cursor_;
   TempResult partition_probe_;
   TempSourceOp partition_source_{&partition_probe_};
 };

@@ -14,8 +14,8 @@ AdjustablePageScan::AdjustablePageScan(uint32_t num_pages,
   XPRS_CHECK_GE(max_slots, initial_parallelism);
   slots_.resize(max_slots);
   for (int i = 0; i < initial_parallelism; ++i) {
-    slots_[i].active = true;
     slots_[i].cursor = AlignUp(0, stride_, i);
+    slots_[i].active = slots_[i].cursor < num_pages_;
   }
 }
 
@@ -135,6 +135,11 @@ void AdjustablePageScan::Retire(int slot) {
   slots_[slot].active = false;
   slots_[slot].owed.clear();
   master_cv_.notify_all();
+}
+
+bool AdjustablePageScan::active(int slot) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_[slot].active;
 }
 
 bool AdjustablePageScan::Done() const {

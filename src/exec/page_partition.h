@@ -45,7 +45,8 @@ struct PageAdjustResult {
 class AdjustablePageScan {
  public:
   /// A scan over pages [0, num_pages) starting at `initial_parallelism`.
-  /// `max_slots` bounds the largest parallelism ever adjustable to.
+  /// `max_slots` bounds the largest parallelism ever adjustable to. A slot
+  /// whose first page lies past the end starts inactive.
   AdjustablePageScan(uint32_t num_pages, int initial_parallelism,
                      int max_slots);
 
@@ -62,6 +63,9 @@ class AdjustablePageScan {
   /// Slave side: marks the slot inactive without draining it (used when a
   /// slave aborts on error, so a pending rendezvous cannot wait on it).
   void Retire(int slot);
+
+  /// True while `slot` has (or needs) a running slave: it has pages left.
+  bool active(int slot) const;
 
   /// True when every page has been handed out and all slots drained.
   bool Done() const;

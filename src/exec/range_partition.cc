@@ -79,7 +79,7 @@ AdjustableRangeScan::AdjustableRangeScan(const BTreeIndex* index,
   auto groups = Repartition(index_, std::move(whole), initial_parallelism);
   for (int i = 0; i < initial_parallelism; ++i) {
     slots_[i].intervals = std::move(groups[i]);
-    slots_[i].active = true;
+    slots_[i].active = !slots_[i].intervals.empty();
   }
 }
 
@@ -174,6 +174,11 @@ void AdjustableRangeScan::Retire(int slot) {
   slots_[slot].active = false;
   slots_[slot].intervals.clear();
   master_cv_.notify_all();
+}
+
+bool AdjustableRangeScan::active(int slot) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_[slot].active;
 }
 
 bool AdjustableRangeScan::Done() const {

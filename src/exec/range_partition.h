@@ -42,7 +42,9 @@ class AdjustableRangeScan {
  public:
   /// Scans index entries with keys in `domain`, starting with
   /// `initial_parallelism` slaves; `chunk_entries` is the work granule (a
-  /// slave takes about this many entries per chunk).
+  /// slave takes about this many entries per chunk). A slot the balanced
+  /// split gives no entries starts inactive (one key cannot be split, so
+  /// an equality lookup's entries all go to slot 0).
   AdjustableRangeScan(const BTreeIndex* index, KeyRange domain,
                       int initial_parallelism, int max_slots,
                       size_t chunk_entries = 256);
@@ -58,6 +60,10 @@ class AdjustableRangeScan {
 
   /// Slave side: marks the slot inactive (slave aborting on error).
   void Retire(int slot);
+
+  /// True while `slot` has (or needs) a running slave: it has intervals
+  /// left.
+  bool active(int slot) const;
 
   bool Done() const;
   int parallelism() const;

@@ -108,7 +108,12 @@ Status ParallelFragmentRun::Start() {
     if (on_finish_) on_finish_();
     return Status::OK();
   }
-  for (int i = 0; i < options_.initial_parallelism; ++i) SpawnLocked(i);
+  // Only slots with work get a slave: a one-key index lookup puts all its
+  // entries in slot 0, and a short scan has fewer pages than slots.
+  for (int i = 0; i < options_.initial_parallelism; ++i) {
+    if (page_scan_ ? page_scan_->active(i) : range_scan_->active(i))
+      SpawnLocked(i);
+  }
   return Status::OK();
 }
 

@@ -54,7 +54,7 @@ class ParallelFragmentRun {
   ParallelFragmentRun(const ParallelFragmentRun&) = delete;
   ParallelFragmentRun& operator=(const ParallelFragmentRun&) = delete;
 
-  /// Spawns the initial slaves. Call once.
+  /// Spawns a slave for each initial slot that has work. Call once.
   Status Start();
 
   /// Master side: dynamically adjusts the degree of parallelism (§2.4).

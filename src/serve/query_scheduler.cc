@@ -240,7 +240,7 @@ int QueryScheduler::peak_running() const {
 
 std::vector<int64_t> QueryScheduler::dispatch_order() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return dispatch_order_;
+  return {dispatch_order_.begin(), dispatch_order_.end()};
 }
 
 uint64_t QueryScheduler::preemptions() const {
@@ -571,6 +571,8 @@ void QueryScheduler::DispatcherLoop() {
       served_work_[entry->request.session_id] +=
           est.seq_time / entry->request.weight;
       dispatch_order_.push_back(entry->id);
+      if (dispatch_order_.size() > kDispatchLogSize)
+        dispatch_order_.pop_front();
       if (m_dispatched_ != nullptr) m_dispatched_->Increment();
       if (grant.degrade_to_spill) {
         if (m_degraded_ != nullptr) m_degraded_->Increment();

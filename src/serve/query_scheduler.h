@@ -217,8 +217,11 @@ class QueryScheduler {
   size_t NumRunning() const;
   /// High-water mark of simultaneously running queries.
   int peak_running() const;
-  /// Query ids in the order the dispatcher started them.
+  /// Ids of the last kDispatchLogSize queries, in the order the dispatcher
+  /// started them. Older ids are dropped, so a long-running server's log
+  /// stays bounded.
   std::vector<int64_t> dispatch_order() const;
+  static constexpr size_t kDispatchLogSize = 1024;
   /// The health state machine driving admission under overload.
   OverloadController& overload() { return overload_; }
   const OverloadController& overload() const { return overload_; }
@@ -313,7 +316,7 @@ class QueryScheduler {
   int n_completing_ = 0;
   int peak_running_ = 0;
   uint64_t preemptions_ = 0;
-  std::vector<int64_t> dispatch_order_;
+  std::deque<int64_t> dispatch_order_;
 
   // Metrics (resolved once; null when no registry attached).
   Counter* m_submitted_ = nullptr;

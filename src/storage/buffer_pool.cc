@@ -1,5 +1,8 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/check.h"
 #include "util/str.h"
 
@@ -36,33 +39,50 @@ void PageHandle::Release() {
   }
 }
 
-BufferPool::BufferPool(DiskArray* array, size_t num_frames) : array_(array) {
+BufferPool::BufferPool(DiskArray* array, size_t num_frames)
+    : array_(array),
+      frames_(num_frames),
+      shards_(
+          std::bit_floor(std::max<size_t>(num_frames / kFramesPerShard, 1))),
+      shard_mask_(static_cast<BlockId>(shards_.size() - 1)) {
   XPRS_CHECK(array != nullptr);
   XPRS_CHECK_GE(num_frames, 1u);
-  frames_.resize(num_frames);
+  // Contiguous slices; the last shard also takes the remainder.
+  const size_t per_shard = num_frames / shards_.size();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    shard.begin = shard.clock_hand = s * per_shard;
+    shard.end = s + 1 == shards_.size() ? num_frames : shard.begin + per_shard;
+    shard.table.reserve(shard.end - shard.begin);
+    for (size_t f = shard.begin; f < shard.end; ++f)
+      frames_[f].shard = static_cast<uint32_t>(s);
+  }
 }
 
 void BufferPool::Unpin(size_t frame) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  XPRS_CHECK_GT(frames_[frame].pins, 0);
-  --frames_[frame].pins;
+  Frame& f = frames_[frame];
+  Shard& shard = shards_[f.shard];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  XPRS_CHECK_GT(f.pins, 0);
+  if (--f.pins == 0) shard.AddPinned(-1);
 }
 
 StatusOr<size_t> BufferPool::FindOrClaimLocked(
-    BlockId block, bool* needs_load, std::unique_lock<std::mutex>* lock) {
+    Shard& shard, BlockId block, bool* needs_load,
+    std::unique_lock<std::mutex>* lock) {
   for (;;) {
-    auto it = table_.find(block);
-    if (it != table_.end()) {
+    auto it = shard.table.find(block);
+    if (it != shard.table.end()) {
       Frame& f = frames_[it->second];
       if (f.loading) {
         // Another thread is reading this block; wait for it.
-        load_cv_.wait(*lock);
+        shard.load_cv.wait(*lock);
         continue;  // re-lookup: the load may have failed and been evicted
       }
-      ++f.pins;
+      if (f.pins++ == 0) shard.AddPinned(1);
       f.ref_bit = true;
-      ++stats_.hits;
-      if (hits_counter_ != nullptr) hits_counter_->Increment();
+      ++shard.stats.hits;
+      if (shard.hits_counter != nullptr) shard.hits_counter->Increment();
       *needs_load = false;
       return it->second;
     }
@@ -70,9 +90,10 @@ StatusOr<size_t> BufferPool::FindOrClaimLocked(
     // Miss under admission control: refuse to grow the pinned set past the
     // soft limit. The caller sees a retryable ResourceExhausted and backs
     // off (FetchWithBackpressure) or degrades to the spill path.
-    if (soft_pin_limit_ > 0 && PinnedLocked() >= soft_pin_limit_) {
-      if (backpressure_counter_ != nullptr)
-        backpressure_counter_->Increment();
+    const size_t limit = soft_pin_limit_.load(std::memory_order_relaxed);
+    if (limit > 0 && PinnedFrames() >= limit) {
+      if (shard.backpressure_counter != nullptr)
+        shard.backpressure_counter->Increment();
       return Status::ResourceExhausted(
           "buffer pool pin limit reached (backpressure)");
     }
@@ -80,14 +101,12 @@ StatusOr<size_t> BufferPool::FindOrClaimLocked(
     // Miss: claim a victim frame with the clock sweep (two passes: the
     // first clears reference bits, the second takes the first unpinned
     // frame).
-    size_t scanned = 0;
-    const size_t limit = 2 * frames_.size();
-    size_t victim = frames_.size();
-    while (scanned < limit) {
-      Frame& f = frames_[clock_hand_];
-      size_t idx = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % frames_.size();
-      ++scanned;
+    const size_t size = shard.end - shard.begin;
+    size_t victim = shard.end;
+    for (size_t scanned = 0; scanned < 2 * size; ++scanned) {
+      const size_t idx = shard.clock_hand;
+      Frame& f = frames_[idx];
+      shard.clock_hand = idx + 1 == shard.end ? shard.begin : idx + 1;
       if (f.pins > 0 || f.loading) continue;
       if (f.occupied && f.ref_bit) {
         f.ref_bit = false;
@@ -96,20 +115,21 @@ StatusOr<size_t> BufferPool::FindOrClaimLocked(
       victim = idx;
       break;
     }
-    if (victim == frames_.size()) {
+    if (victim == shard.end) {
       return Status::ResourceExhausted("all buffer frames pinned");
     }
 
     Frame& f = frames_[victim];
-    if (f.occupied) table_.erase(f.block);
+    if (f.occupied) shard.table.erase(f.block);
     f.block = block;
     f.occupied = true;
     f.loading = true;
     f.ref_bit = true;
     f.pins = 1;
-    table_[block] = victim;
-    ++stats_.misses;
-    if (misses_counter_ != nullptr) misses_counter_->Increment();
+    shard.AddPinned(1);
+    shard.table[block] = victim;
+    ++shard.stats.misses;
+    if (shard.misses_counter != nullptr) shard.misses_counter->Increment();
     *needs_load = true;
     return victim;
   }
@@ -119,60 +139,72 @@ StatusOr<PageHandle> BufferPool::Fetch(BlockId block) {
   if (FaultInjector* inj = injector_.load(std::memory_order_acquire)) {
     XPRS_RETURN_IF_ERROR(inj->BeforeFetch(block));
   }
+  Shard& shard = shards_[block & shard_mask_];
   bool needs_load = false;
   size_t frame;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto claimed = FindOrClaimLocked(block, &needs_load, &lock);
+    std::unique_lock<std::mutex> lock(shard.mutex);
+    auto claimed = FindOrClaimLocked(shard, block, &needs_load, &lock);
     if (!claimed.ok()) return claimed.status();
     frame = claimed.value();
   }
 
   if (needs_load) {
-    // Disk read happens outside the pool latch so misses on different
+    // Disk read happens outside the shard's lock so misses on different
     // disks proceed in parallel.
     Status st = array_->ReadBlock(block, &frames_[frame].page);
     {
-      std::lock_guard<std::mutex> lock(mutex_);
-      frames_[frame].loading = false;
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      Frame& f = frames_[frame];
+      f.loading = false;
       if (!st.ok()) {
         // Roll the claim back so waiters retry and the frame is reusable.
-        table_.erase(block);
-        frames_[frame].occupied = false;
-        frames_[frame].pins = 0;
+        shard.table.erase(block);
+        f.occupied = false;
+        f.pins = 0;
+        shard.AddPinned(-1);
       }
     }
-    load_cv_.notify_all();
+    shard.load_cv.notify_all();
     if (!st.ok()) return st;
   }
   return PageHandle(this, frame, &frames_[frame].page);
 }
 
 void BufferPool::AttachMetrics(MetricsRegistry* metrics) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  metrics_ = metrics;
+  Counter* hits = nullptr;
+  Counter* misses = nullptr;
+  Counter* backpressure = nullptr;
   if (metrics != nullptr) {
-    hits_counter_ = metrics->counter("bufferpool.hits");
-    misses_counter_ = metrics->counter("bufferpool.misses");
-    backpressure_counter_ = metrics->counter("bufferpool.backpressure");
-  } else {
-    hits_counter_ = nullptr;
-    misses_counter_ = nullptr;
-    backpressure_counter_ = nullptr;
+    hits = metrics->counter("bufferpool.hits");
+    misses = metrics->counter("bufferpool.misses");
+    backpressure = metrics->counter("bufferpool.backpressure");
   }
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.hits_counter = hits;
+    shard.misses_counter = misses;
+    shard.backpressure_counter = backpressure;
+  }
+  metrics_.store(metrics, std::memory_order_release);
 }
 
 void BufferPool::PublishMetrics() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (metrics_ == nullptr) return;
-  metrics_->gauge("bufferpool.hit_rate")->Set(stats_.hit_rate());
-  metrics_->gauge("bufferpool.frames")
+  MetricsRegistry* metrics = metrics_.load(std::memory_order_acquire);
+  if (metrics == nullptr) return;
+  metrics->gauge("bufferpool.hit_rate")->Set(stats().hit_rate());
+  metrics->gauge("bufferpool.frames")
       ->Set(static_cast<double>(frames_.size()));
 }
 
 BufferPoolStats BufferPool::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  BufferPoolStats total;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total.hits += shard.stats.hits;
+    total.misses += shard.stats.misses;
+  }
+  return total;
 }
 
 void BufferPool::SetFaultInjector(FaultInjector* injector) {
@@ -180,35 +212,22 @@ void BufferPool::SetFaultInjector(FaultInjector* injector) {
 }
 
 void BufferPool::SetSoftPinLimit(size_t max_pinned_frames) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  soft_pin_limit_ = max_pinned_frames;
-}
-
-size_t BufferPool::PinnedLocked() const {
-  size_t pinned = 0;
-  for (const Frame& f : frames_)
-    if (f.pins > 0) ++pinned;
-  return pinned;
+  soft_pin_limit_.store(max_pinned_frames, std::memory_order_relaxed);
 }
 
 size_t BufferPool::PinnedFrames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return PinnedLocked();
-}
-
-uint64_t BufferPool::TotalPins() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t total = 0;
-  for (const Frame& f : frames_) total += static_cast<uint64_t>(f.pins);
-  return total;
+  size_t pinned = 0;
+  for (const Shard& shard : shards_)
+    pinned += shard.pinned.load(std::memory_order_relaxed);
+  return pinned;
 }
 
 std::string BufferPool::ToString() const {
   BufferPoolStats s = stats();
-  return StrFormat("BufferPool{%zu frames, hits=%llu misses=%llu (%.1f%%)}",
-                   frames_.size(), static_cast<unsigned long long>(s.hits),
-                   static_cast<unsigned long long>(s.misses),
-                   s.hit_rate() * 100.0);
+  return StrFormat(
+      "BufferPool{%zu frames in %zu shards, hits=%llu misses=%llu (%.1f%%)}",
+      frames_.size(), shards_.size(), static_cast<unsigned long long>(s.hits),
+      static_cast<unsigned long long>(s.misses), s.hit_rate() * 100.0);
 }
 
 }  // namespace xprs

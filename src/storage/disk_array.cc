@@ -1,6 +1,7 @@
 #include "storage/disk_array.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -18,15 +19,36 @@ DiskArray::DiskArray(int num_disks, DiskMode mode, const DiskTimings& timings)
     disks_.push_back(std::make_unique<DiskState>());
 }
 
+int DiskArray::SegmentOf(BlockId block, uint64_t* offset) {
+  // Segment k starts at block kFirstSegmentBlocks * (2^k - 1).
+  const int k = std::bit_width(block / kFirstSegmentBlocks + 1) - 1;
+  *offset = block - kFirstSegmentBlocks * ((uint64_t{1} << k) - 1);
+  return k;
+}
+
+Page* DiskArray::BlockPage(BlockId block) const {
+  uint64_t offset;
+  const int k = SegmentOf(block, &offset);
+  return directory_[k][offset].get();
+}
+
 BlockId DiskArray::num_blocks() const {
-  std::lock_guard<std::mutex> lock(blocks_mutex_);
-  return static_cast<BlockId>(blocks_.size());
+  return num_blocks_.load(std::memory_order_acquire);
 }
 
 BlockId DiskArray::AllocateBlock() {
-  std::lock_guard<std::mutex> lock(blocks_mutex_);
-  blocks_.emplace_back();
-  return static_cast<BlockId>(blocks_.size() - 1);
+  std::lock_guard<std::mutex> lock(alloc_mutex_);
+  const BlockId block = num_blocks_.load(std::memory_order_relaxed);
+  XPRS_CHECK_LT(block, UINT32_MAX);
+  uint64_t offset;
+  const int k = SegmentOf(block, &offset);
+  if (offset == 0) {
+    directory_[k] =
+        std::make_unique<std::unique_ptr<Page>[]>(kFirstSegmentBlocks << k);
+  }
+  directory_[k][offset] = std::make_unique<Page>();
+  num_blocks_.store(block + 1, std::memory_order_release);
+  return block;
 }
 
 Status DiskArray::ReadBlock(BlockId block, Page* out) {
@@ -42,12 +64,9 @@ Status DiskArray::ReadBlock(BlockId block, Page* out) {
   if (FaultInjector* inj = injector_.load(std::memory_order_acquire)) {
     XPRS_RETURN_IF_ERROR(inj->BeforeRead(block));
   }
-  {
-    std::lock_guard<std::mutex> lock(blocks_mutex_);
-    if (block >= blocks_.size())
-      return Status::OutOfRange(StrFormat("block %u of %zu", block,
-                                          blocks_.size()));
-  }
+  const BlockId count = num_blocks();
+  if (block >= count)
+    return Status::OutOfRange(StrFormat("block %u of %u", block, count));
 
   DiskState& disk = *disks_[DiskOf(block)];
   // The per-disk block index: consecutive *global* blocks land on
@@ -86,9 +105,7 @@ Status DiskArray::ReadBlock(BlockId block, Page* out) {
     std::this_thread::sleep_for(std::chrono::duration<double>(service));
   }
 
-  // blocks_ only grows and deque elements are stable, so reading without
-  // blocks_mutex_ is safe once the bound check passed.
-  std::memcpy(out->raw(), blocks_[block].raw(), kPageSize);
+  std::memcpy(out->raw(), BlockPage(block)->raw(), kPageSize);
   return Status::OK();
 }
 
@@ -98,13 +115,12 @@ Status DiskArray::WriteBlock(BlockId block, const Page& in) {
   if (FaultInjector* inj = injector_.load(std::memory_order_acquire)) {
     fault = inj->BeforeWrite(block, &bytes);
   }
-  std::lock_guard<std::mutex> lock(blocks_mutex_);
-  if (block >= blocks_.size())
-    return Status::OutOfRange(StrFormat("block %u of %zu", block,
-                                        blocks_.size()));
+  const BlockId count = num_blocks();
+  if (block >= count)
+    return Status::OutOfRange(StrFormat("block %u of %u", block, count));
   // A failing write still lands its torn prefix on media, as a real torn
   // write would; a clean write copies the whole page.
-  std::memcpy(blocks_[block].raw(), in.raw(),
+  std::memcpy(BlockPage(block)->raw(), in.raw(),
               fault.ok() ? kPageSize : std::min(bytes, kPageSize));
   return fault;
 }

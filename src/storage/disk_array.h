@@ -13,13 +13,19 @@
 //  - kThrottled: each read holds its disk for the service time (real
 //    sleep), so concurrent scans experience genuine bandwidth contention.
 //    Used by the real-thread parallel executor demos.
+//
+// A block's page never moves once allocated, it is found through a
+// directory that is never reallocated, and the block count is published
+// atomically after the page is built. So a read finds its block without
+// any array-wide lock: it takes only its disk's mutex, which the seek model
+// needs. Allocation is serialized.
 
 #ifndef XPRS_STORAGE_DISK_ARRAY_H_
 #define XPRS_STORAGE_DISK_ARRAY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,7 +88,7 @@ class DiskArray {
   BlockId num_blocks() const;
 
   /// Appends a zeroed block and returns its id. Round-robin placement is
-  /// implied by the id.
+  /// implied by the id. Safe to call while other threads read.
   BlockId AllocateBlock();
 
   /// Disk a block lives on.
@@ -91,8 +97,9 @@ class DiskArray {
   /// Reads a block into *out, applying the mode's timing model.
   Status ReadBlock(BlockId block, Page* out);
 
-  /// Writes a block image (used by loaders; not timed — the paper's
-  /// experiments are read-only).
+  /// Writes a block image (used by loaders and spill files; not timed —
+  /// the paper's experiments are read-only). The caller orders a write
+  /// before any read of the same block.
   Status WriteBlock(BlockId block, const Page& in);
 
   /// Counters for one disk.
@@ -134,12 +141,26 @@ class DiskArray {
     Counter* reads_counter = nullptr;  // disk.<i>.reads (live)
   };
 
+  // Every page is allocated on its own. Directory segment k holds the
+  // pages of kFirstSegmentBlocks << k blocks, so kMaxSegments fixed slots
+  // cover every BlockId and no segment is ever reallocated.
+  static constexpr uint64_t kFirstSegmentBlocks = 64;
+  static constexpr int kMaxSegments = 27;  // 64 * (2^27 - 1) > 2^32 blocks
+
+  // Directory segment of `block` and its offset there.
+  static int SegmentOf(BlockId block, uint64_t* offset);
+  Page* BlockPage(BlockId block) const;
+
   const int num_disks_;
   const DiskMode mode_;
   const DiskTimings timings_;
 
-  mutable std::mutex blocks_mutex_;  // guards allocation / deque growth
-  std::deque<Page> blocks_;          // deque: growth keeps references stable
+  std::mutex alloc_mutex_;  // serializes AllocateBlock
+  // Each segment and each page pointer in it is written once, under
+  // alloc_mutex_, before num_blocks_ publishes its block.
+  std::array<std::unique_ptr<std::unique_ptr<Page>[]>, kMaxSegments>
+      directory_;
+  std::atomic<BlockId> num_blocks_{0};  // release-stored after allocation
   std::atomic<int> pending_faults_{0};
   std::atomic<FaultInjector*> injector_{nullptr};
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "parallel/fragment_run.h"
@@ -111,6 +112,10 @@ Status DifferentialOracle::Compare(const PlanNode& plan,
 StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
     const PlanNode& plan, int degree, bool vectorized) {
   FragmentGraph graph = FragmentGraph::Decompose(plan);
+  std::unique_ptr<BufferPool> pool;
+  if (options_.run_buffer_pool &&
+      options_.buffer_pool_frames >= 2 * BufferPool::kFramesPerShard)
+    pool = std::make_unique<BufferPool>(array_, options_.buffer_pool_frames);
   std::map<int, TempResult> done;
   for (int id : graph.TopologicalOrder()) {
     std::map<int, const TempResult*> inputs;
@@ -120,6 +125,7 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
     run_options.initial_parallelism = degree;
     run_options.max_slots = std::max(options_.max_slots, degree);
     run_options.ctx.vectorized = vectorized;
+    run_options.ctx.pool = pool.get();
     ParallelFragmentRun run(&graph, id, std::move(inputs), run_options);
     XPRS_RETURN_IF_ERROR(run.Start());
     if (options_.adjust_during_run) {
@@ -133,6 +139,11 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
     auto result = run.Wait();
     if (!result.ok()) return result.status();
     done[id] = std::move(result).value();
+  }
+  if (pool != nullptr && pool->PinnedFrames() != 0) {
+    return Status::Internal(StrFormat(
+        "parallel(%d) run left %d pinned frames\nplan:\n%s", degree,
+        static_cast<int>(pool->PinnedFrames()), plan.ToString().c_str()));
   }
   return std::move(done.at(graph.root_fragment()).tuples);
 }

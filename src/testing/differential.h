@@ -9,7 +9,9 @@
 //   - fragmented       ExecutePlanFragmented (fragment-at-a-time, serial)
 //   - parallel(d)      ParallelFragmentRun per fragment in dependency
 //                      order at each configured degree, with random
-//                      mid-run parallelism adjustments (§2.4)
+//                      mid-run parallelism adjustments (§2.4); when the
+//                      configured pool is sharded the slaves share one,
+//                      and the run must leave zero pinned frames
 //   - master           the full ParallelMaster control loop under the
 //                      adaptive scheduler (§2.5); the decision log is
 //                      validated with ValidateSchedDecisions
@@ -89,6 +91,9 @@ struct DifferentialOptions {
   /// Spill threshold (tuples in memory per operator). Small enough that
   /// generated joins and sorts actually hit the external paths.
   size_t spill_memory_tuples = 64;
+  /// Frames of the pooled modes' BufferPool. A pool of two or more shards
+  /// (2 * BufferPool::kFramesPerShard frames or more) holds max_slots
+  /// slaves' pins, so the parallel(d) slaves then share one too.
   size_t buffer_pool_frames = 16;
   int max_slots = 8;
 

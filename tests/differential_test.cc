@@ -17,6 +17,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/buffer_pool.h"
 #include "storage/disk_array.h"
 #include "testing/differential.h"
 #include "testing/query_gen.h"
@@ -124,6 +125,32 @@ TEST(DifferentialTest, NullHeavyRelations) {
     ASSERT_TRUE(status.ok()) << "query " << i << " (seed " << seed
                              << "): " << status.ToString();
   }
+}
+
+// A pool of four shards: the pooled modes, the parallel(d) slaves sharing
+// one pool and the concurrent sessions all fetch across shards, must match
+// the reference and must leave zero pinned frames in every shard.
+TEST(DifferentialTest, ShardedPool) {
+  const uint64_t seed = TestSeed(0xD1FF0009);
+  Fixture fx(seed);
+  DifferentialOptions options;
+  options.buffer_pool_frames = 4 * BufferPool::kFramesPerShard;
+  ASSERT_EQ(BufferPool(&fx.array, options.buffer_pool_frames).num_shards(),
+            4u);
+  DifferentialOracle oracle(&fx.array, options, seed ^ 1);
+  QueryGenerator gen(fx.tables, QueryGenerator::Options(), seed ^ 2);
+  std::vector<std::unique_ptr<PlanNode>> owned;
+  std::vector<const PlanNode*> plans;
+  for (int i = 0; i < 40; ++i) {
+    owned.push_back(gen.NextPlan());
+    plans.push_back(owned.back().get());
+    Status status = oracle.CheckPlan(*owned.back());
+    ASSERT_TRUE(status.ok()) << "query " << i << " (seed " << seed
+                             << "): " << status.ToString();
+  }
+  Status status = oracle.CheckPlansConcurrent(plans);
+  ASSERT_TRUE(status.ok()) << "(seed " << seed << "): " << status.ToString();
+  EXPECT_EQ(oracle.report().plans_checked, 80u);
 }
 
 // §2.2: page partitioning at any degree reads exactly the serial scan's

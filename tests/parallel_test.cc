@@ -472,6 +472,46 @@ TEST_F(FragmentRunTest, TempDrivenFragmentPartitionsBatches) {
             Normalize(*expected));
 }
 
+TEST_F(FragmentRunTest, SpawnsSlavesOnlyForSlotsWithWork) {
+  // Runs a one-fragment plan at initial parallelism 4, checks its result
+  // against the serial run's and returns the slaves its profile recorded.
+  auto slaves_spawned = [&](const PlanNode& plan) {
+    FragmentGraph graph = FragmentGraph::Decompose(plan);
+    QueryProfile profile(&plan);
+    ParallelFragmentRun::Options opts;
+    opts.initial_parallelism = 4;
+    opts.ctx = ctx_;
+    opts.ctx.profile = &profile;
+    ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
+    EXPECT_TRUE(run.Start().ok());
+    auto result = run.Wait();
+    auto expected = ExecutePlanSequential(plan, ctx_);
+    EXPECT_TRUE(result.ok() && expected.ok());
+    if (!result.ok() || !expected.ok()) return -1;
+    EXPECT_EQ(Normalize(result->tuples), Normalize(*expected));
+    const auto fragments = profile.fragments();
+    EXPECT_EQ(fragments.size(), 1u);
+    return fragments.empty() ? -1 : fragments[0].slaves_spawned;
+  };
+
+  // One key cannot be split, so its 6 entries all go to slot 0.
+  auto lookup = MakeIndexScan(r_, Predicate(), KeyRange{17, 17});
+  EXPECT_EQ(slaves_spawned(*lookup), 1);
+
+  // Two pages for four slots.
+  Table* two = catalog_->CreateTable("two", Schema::PaperSchema()).value();
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(two->file()
+                    .Append(Tuple({Value(int32_t{i}),
+                                   Value(std::string(400, 'z'))}))
+                    .ok());
+  }
+  ASSERT_TRUE(two->file().Flush().ok());
+  ASSERT_EQ(two->file().num_pages(), 2u);
+  auto scan = MakeSeqScan(two, Predicate());
+  EXPECT_EQ(slaves_spawned(*scan), 2);
+}
+
 TEST_F(FragmentRunTest, ProgressReachesOne) {
   auto plan = MakeSeqScan(r_, Predicate());
   FragmentGraph graph = FragmentGraph::Decompose(*plan);

@@ -65,6 +65,27 @@ TEST(QuerySchedulerTest, CompletesSubmittedJobs) {
   EXPECT_EQ(scheduler.NumRunning(), 0u);
 }
 
+TEST(QuerySchedulerTest, DispatchLogKeepsTheLatestIds) {
+  // A server's dispatch log must not grow with every statement it serves.
+  ServeOptions options;
+  options.max_concurrent = 1;
+  QueryScheduler scheduler(options);
+  const size_t total = QueryScheduler::kDispatchLogSize + 100;
+  int64_t last_id = 0;
+  for (size_t i = 0; i < total; ++i) {
+    auto ticket = scheduler.Submit(SyntheticRequest(0.01, 1.0, 1));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    ASSERT_TRUE(ticket->Wait().ok());
+    last_id = ticket->query_id();
+  }
+  std::vector<int64_t> order = scheduler.dispatch_order();
+  ASSERT_EQ(order.size(), QueryScheduler::kDispatchLogSize);
+  EXPECT_EQ(order.back(), last_id);
+  EXPECT_EQ(order.front(),
+            last_id - static_cast<int64_t>(QueryScheduler::kDispatchLogSize) +
+                1);
+}
+
 TEST(QuerySchedulerTest, FairShareAlternatesSessionsAndPriorityWins) {
   ServeOptions options;
   options.max_concurrent = 1;  // serialize dispatch for a deterministic order

@@ -227,39 +227,63 @@ TEST_F(SpillTest, HashJoinBudgetCountsOnlyRowsItHolds) {
   EXPECT_EQ(rows->size(), 40u);  // s_ holds keys 0..99 twice
 }
 
-// A spilled join holds at most its budget of build rows, whatever the key
-// skew: it joins each partition in budget-sized build chunks, because
-// hashing cannot split a partition that holds one key.
+// A spilled join holds at most its budget of build rows and of probe rows,
+// whatever the key skew: it joins each partition in budget-sized build
+// chunks and replays the partition's probe rows in budget-sized pieces,
+// because hashing cannot split a partition that holds one key.
 TEST_F(SpillTest, SpilledHashJoinHoldsAtMostItsBudget) {
-  for (const bool one_key : {false, true}) {
-    SCOPED_TRACE(one_key ? "one key" : "distinct keys");
-    Table* build = catalog_
-                       ->CreateTable(one_key ? "one_key" : "distinct",
-                                     Schema::PaperSchema())
-                       .value();
-    for (int i = 0; i < 2000; ++i) {
+  // Budget 64. Distinct build keys spread over the partitions; one build
+  // key puts all 2,000 build rows in one partition; and 65 build rows
+  // against 2,000 probe rows of that one key put all 2,000 probe rows in
+  // one partition.
+  struct Case {
+    const char* name;
+    int build_rows;
+    bool one_key;
+    int probe_rows;  // 0: s_'s keys 0..49, each twice
+    size_t expected_rows;
+  };
+  const Case kCases[] = {{"distinct", 2000, false, 0, 100},
+                         {"one_key", 2000, true, 0, 4000},
+                         {"probe_heavy", 65, true, 2000, 65 * 2000}};
+  auto fill = [&](const std::string& name, int rows, bool one_key) {
+    Table* table =
+        catalog_->CreateTable(name, Schema::PaperSchema()).value();
+    for (int i = 0; i < rows; ++i) {
       const int32_t key = one_key ? 7 : i;
-      ASSERT_TRUE(
-          build->file().Append(Tuple({Value(key), Value(std::string("b"))}))
+      EXPECT_TRUE(
+          table->file().Append(Tuple({Value(key), Value(std::string("b"))}))
               .ok());
     }
-    ASSERT_TRUE(build->file().Flush().ok());
-    const Predicate probe = Predicate::Between(0, 0, 49);  // keys 0..49 twice
+    EXPECT_TRUE(table->file().Flush().ok());
+    return table;
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    Table* build = fill(std::string(c.name) + "_build", c.build_rows,
+                        c.one_key);
+    Table* probe_table =
+        c.probe_rows > 0
+            ? fill(std::string(c.name) + "_probe", c.probe_rows, true)
+            : s_;
+    const Predicate probe =
+        c.probe_rows > 0 ? Predicate() : Predicate::Between(0, 0, 49);
     auto reference =
-        ExecutePlanSequential(*MakeNestLoopJoin(MakeSeqScan(s_, probe),
-                                                MakeSeqScan(build, Predicate()),
-                                                0, 0),
-                              plain_)
+        ExecutePlanSequential(
+            *MakeNestLoopJoin(MakeSeqScan(probe_table, probe),
+                              MakeSeqScan(build, Predicate()), 0, 0),
+            plain_)
             .value();
-    EXPECT_EQ(reference.size(), one_key ? 4000u : 100u);
+    EXPECT_EQ(reference.size(), c.expected_rows);
 
-    auto outer = std::make_unique<SeqScanOp>(s_, probe, plain_);
+    auto outer = std::make_unique<SeqScanOp>(probe_table, probe, plain_);
     auto inner = std::make_unique<SeqScanOp>(build, Predicate(), plain_);
     HashJoinOp join(std::move(outer), std::move(inner), 0, 0, Spilling(64));
     auto rows = Drain(&join);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_TRUE(join.spilled());
     EXPECT_LE(join.peak_held_rows(), 64u);
+    EXPECT_LE(join.peak_held_probe_rows(), 64u);
     EXPECT_EQ(join.open_partitions(), 0u);
     EXPECT_EQ(Normalize(*rows), Normalize(reference));
   }

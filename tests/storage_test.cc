@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <set>
 #include <thread>
 
@@ -13,6 +17,7 @@
 #include "storage/page.h"
 #include "storage/tuple.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace xprs {
 namespace {
@@ -371,41 +376,213 @@ TEST(BufferPoolTest, PageContentCorrectAcrossEviction) {
   }
 }
 
-TEST(BufferPoolTest, ConcurrentFetchesAreConsistent) {
-  DiskArray array(4, DiskMode::kInstant);
-  constexpr int kBlocks = 64;
-  for (int i = 0; i < kBlocks; ++i) {
-    BlockId b = array.AllocateBlock();
+// Allocates `n` blocks, each holding one tuple: its own block id.
+void FillBlocks(DiskArray* array, int n) {
+  for (int i = 0; i < n; ++i) {
+    const BlockId b = array->AllocateBlock();
     Page p;
-    uint8_t byte = static_cast<uint8_t>(i);
-    ASSERT_TRUE(p.AddTuple(&byte, 1).ok());
-    ASSERT_TRUE(array.WriteBlock(b, p).ok());
+    ASSERT_TRUE(
+        p.AddTuple(reinterpret_cast<const uint8_t*>(&b), sizeof(b)).ok());
+    ASSERT_TRUE(array->WriteBlock(b, p).ok());
   }
-  BufferPool pool(&array, 16);
+}
+
+// True when `page` is the image FillBlocks wrote for `block`.
+bool HoldsBlock(const Page& page, BlockId block) {
+  const uint8_t* data;
+  uint16_t size;
+  if (!page.GetTuple(0, &data, &size).ok() || size != sizeof(BlockId))
+    return false;
+  BlockId stored;
+  std::memcpy(&stored, data, sizeof(stored));
+  return stored == block;
+}
+
+TEST(BufferPoolTest, ConcurrentFetchesAreConsistent) {
+  // One shard (64 blocks over 16 frames) and four shards (1,024 blocks over
+  // 256 frames): in both the blocks outnumber the frames four to one, so
+  // the shards evict all the time.
+  const std::pair<int, size_t> kInputs[] = {{64, 16}, {1024, 256}};
+  for (const auto& [blocks, frames] : kInputs) {
+    SCOPED_TRACE(StrFormat("%d blocks, %zu frames", blocks, frames));
+    DiskArray array(4, DiskMode::kInstant);
+    FillBlocks(&array, blocks);
+    BufferPool pool(&array, frames);
+    EXPECT_EQ(pool.num_shards(),
+              std::max<size_t>(1, frames / BufferPool::kFramesPerShard));
+    std::vector<std::thread> threads;
+    std::atomic<int> errors{0};
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(100 + t);
+        for (int i = 0; i < 2000; ++i) {
+          BlockId b = static_cast<BlockId>(rng.NextUint64(blocks));
+          auto h = pool.Fetch(b);
+          if (!h.ok() || !HoldsBlock(h->page(), b)) ++errors;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(pool.stats().hits + pool.stats().misses, 8000u);
+    EXPECT_EQ(pool.PinnedFrames(), 0u);
+  }
+}
+
+// Fails the first disk read once every fetcher has arrived, so the other
+// fetchers are waiting on that in-flight load when it fails.
+class FailFirstLoadInjector : public FaultInjector {
+ public:
+  explicit FailFirstLoadInjector(int fetchers) : fetchers_(fetchers) {}
+
+  Status BeforeFetch(BlockId) override {
+    ++fetches_;
+    return Status::OK();
+  }
+  Status BeforeRead(BlockId block) override {
+    if (failed_.exchange(true)) return Status::OK();
+    while (fetches_.load() < fetchers_) std::this_thread::yield();
+    // Give the last fetchers time to reach the load wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return Status::IoError(StrFormat("injected: first load of block %u",
+                                     block));
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+
+ private:
+  const int fetchers_;
+  std::atomic<int> fetches_{0};
+  std::atomic<bool> failed_{false};
+};
+
+TEST(BufferPoolTest, WaitersOnAFailedLoadRetry) {
+  DiskArray array(4, DiskMode::kInstant);
+  FillBlocks(&array, 8);
+  BufferPool pool(&array, 2 * BufferPool::kFramesPerShard);
+  ASSERT_EQ(pool.num_shards(), 2u);
+  constexpr int kFetchers = 4;
+  FailFirstLoadInjector injector(kFetchers);
+  pool.SetFaultInjector(&injector);
+  array.SetFaultInjector(&injector);
+
+  const BlockId block = 5;  // shard 1
+  std::atomic<int> loaded{0}, failed{0}, wrong{0};
   std::vector<std::thread> threads;
-  std::atomic<int> errors{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + t);
-      for (int i = 0; i < 2000; ++i) {
-        BlockId b = static_cast<BlockId>(rng.NextUint64(kBlocks));
-        auto h = pool.Fetch(b);
-        if (!h.ok()) {
-          ++errors;
-          continue;
-        }
-        const uint8_t* data;
-        uint16_t size;
-        if (!h->page().GetTuple(0, &data, &size).ok() ||
-            data[0] != static_cast<uint8_t>(b)) {
-          ++errors;
-        }
+  for (int t = 0; t < kFetchers; ++t) {
+    threads.emplace_back([&] {
+      auto h = pool.Fetch(block);
+      if (!h.ok()) {
+        failed += h.status().code() == StatusCode::kIoError ? 1 : 100;
+        return;
       }
+      ++loaded;
+      if (!HoldsBlock(h->page(), block)) ++wrong;
     });
   }
   for (auto& th : threads) th.join();
+  pool.SetFaultInjector(nullptr);
+  array.SetFaultInjector(nullptr);
+
+  // The loader sees the failure; every waiter retries and gets the page.
+  EXPECT_EQ(failed.load(), 1);
+  EXPECT_EQ(loaded.load(), kFetchers - 1);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  // The failed claim and the retry's claim are the two misses.
+  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses,
+            static_cast<uint64_t>(kFetchers));
+}
+
+TEST(BufferPoolTest, SoftPinLimitIsExactAcrossShards) {
+  DiskArray array(4, DiskMode::kInstant);
+  FillBlocks(&array, 16);
+  BufferPool pool(&array, 4 * BufferPool::kFramesPerShard);
+  ASSERT_EQ(pool.num_shards(), 4u);
+  pool.SetSoftPinLimit(5);
+
+  // Blocks 0..4 span all four shards (block b is in shard b % 4).
+  std::vector<PageHandle> held;
+  for (BlockId b = 0; b < 5; ++b) {
+    auto h = pool.Fetch(b);
+    ASSERT_TRUE(h.ok()) << "block " << b;
+    held.push_back(std::move(h).value());
+  }
+  EXPECT_EQ(pool.PinnedFrames(), 5u);
+  // A sixth miss, in any shard, is refused; a hit never is.
+  for (BlockId b = 5; b < 9; ++b)
+    EXPECT_EQ(pool.Fetch(b).status().code(), StatusCode::kResourceExhausted)
+        << "block " << b;
+  auto hit = pool.Fetch(2);
+  ASSERT_TRUE(hit.ok());
+  hit->Release();
+  EXPECT_EQ(pool.PinnedFrames(), 5u);
+
+  held[1].Release();  // shard 1 drops its pin; shard 3's miss may proceed
+  auto after = pool.Fetch(7);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(HoldsBlock(after->page(), 7));
+  EXPECT_EQ(pool.PinnedFrames(), 5u);
+  EXPECT_EQ(pool.Fetch(8).status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(BufferPoolTest, ExhaustionIsPerShard) {
+  constexpr BlockId kShardFrames = BufferPool::kFramesPerShard;
+  DiskArray array(4, DiskMode::kInstant);
+  FillBlocks(&array, 2 * kShardFrames + 2);
+  BufferPool pool(&array, 2 * kShardFrames);
+  ASSERT_EQ(pool.num_shards(), 2u);
+
+  // Pin every frame of shard 0 with its even blocks.
+  std::vector<PageHandle> held;
+  for (BlockId b = 0; b < 2 * kShardFrames; b += 2) {
+    auto h = pool.Fetch(b);
+    ASSERT_TRUE(h.ok()) << "block " << b;
+    held.push_back(std::move(h).value());
+  }
+  EXPECT_EQ(pool.PinnedFrames(), kShardFrames);
+  EXPECT_EQ(pool.Fetch(2 * kShardFrames).status().code(),
+            StatusCode::kResourceExhausted);
+  // Shard 1 still loads.
+  auto other = pool.Fetch(2 * kShardFrames + 1);
+  ASSERT_TRUE(other.ok());
+  EXPECT_TRUE(HoldsBlock(other->page(), 2 * kShardFrames + 1));
+
+  held.clear();
+  other->Release();
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  auto now = pool.Fetch(2 * kShardFrames);
+  ASSERT_TRUE(now.ok());
+  EXPECT_TRUE(HoldsBlock(now->page(), 2 * kShardFrames));
+}
+
+TEST(DiskArrayTest, ReadsRaceAllocationSafely) {
+  // Reads of allocated blocks run while another thread keeps allocating:
+  // an allocated block never moves, and a read finds it without the
+  // allocator's lock.
+  DiskArray array(4, DiskMode::kInstant);
+  FillBlocks(&array, 64);
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(200 + t);
+      Page page;
+      while (!done.load()) {
+        const BlockId b = static_cast<BlockId>(rng.NextUint64(64));
+        if (!array.ReadBlock(b, &page).ok() || !HoldsBlock(page, b))
+          ++errors;
+        const BlockId last = array.num_blocks() - 1;
+        if (!array.ReadBlock(last, &page).ok()) ++errors;
+      }
+    });
+  }
+  for (int i = 0; i < 5000; ++i) array.AllocateBlock();
+  done = true;
+  for (auto& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(pool.stats().hits + pool.stats().misses, 8000u);
+  EXPECT_EQ(array.num_blocks(), 5064u);
 }
 
 TEST(CatalogTest, CreateAndLookup) {

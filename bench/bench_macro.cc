@@ -12,29 +12,45 @@
 //
 // Every mode runs the same queries; rows are checksummed order-
 // independently against the serial oracle, so the JSON's correctness
-// block gates cross-mode agreement. The served phase additionally reports
-// the per-query lifecycle span breakdown (admission / queue_wait /
-// execute / drain out of the root span) reconstructed from the trace
-// recorder, and the tracing-overhead block measures the serial mix with
-// the obs bundle absent vs attached-but-disabled (interleaved arms,
-// min-of-reps) — the "tracing compiled in" tax ci.sh caps at 2%.
+// block gates cross-mode agreement. Rep r of every mode runs before rep
+// r+1 of any, so one contended window on a shared host cannot reach all
+// reps of one mode. The served phase additionally reports the per-query
+// lifecycle span breakdown (admission / queue_wait / execute / drain out
+// of the root span) reconstructed from the trace recorder, and the
+// tracing-overhead block measures the serial mix with the obs bundle
+// absent vs attached-but-disabled (interleaved arms, min-of-reps) — the
+// "tracing compiled in" tax perf_compare.py caps at 2%.
+//
+// The served block also carries the serving layer's load curves, run on
+// a twin engine with the same options so they feed nothing else:
+//
+//   closed loop  1 and 2 clients issue the mix back to back, one pass per
+//                rep like the modes; the served mode is the 4-client
+//                point. Throughput and exact p50/p95/p99 latency per point.
+//   open loop    one session offers the mix at 100 and then 400 q/s for
+//                0.5 s each; completions are timestamped by the
+//                per-query hook, and admission rejects and overload sheds
+//                are reported separately (the load shedding at overload)
 //
 //   bench_macro [--scale=F] [--dist=uniform|skewed|null-heavy] [--reps=N]
 //               [--slow-ms=T] [--out=BENCH_macro.json]
 //               [--trace-out=f] [--metrics-out=f]
 //
-// scripts/ci.sh runs this, schema-validates the JSON, and feeds it to
-// scripts/perf_compare.py against bench/baselines/BENCH_macro.json.
+// scripts/ci.sh runs this and feeds the JSON to scripts/perf_compare.py,
+// which checks its schema and gates and compares it against
+// bench/baselines/BENCH_macro.json.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_obs.h"
@@ -51,6 +67,10 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+double Rate(uint64_t count, double seconds) {
+  return seconds > 0 ? static_cast<double>(count) / seconds : 0.0;
 }
 
 // --- order-independent result digest ---------------------------------------
@@ -81,25 +101,65 @@ Digest DigestRows(const SqlResult& result) {
   return d;
 }
 
+/// True iff `r` succeeded with the oracle's rows for `q`.
+bool Matches(const StatusOr<SqlResult>& r, const MacroQuery& q,
+             const std::map<std::string, Digest>& oracle) {
+  return r.ok() && DigestRows(*r) == oracle.at(q.name);
+}
+
+/// One mode's statements over all its passes (also one closed-loop point).
 struct ModeResult {
+  explicit ModeResult(std::string mode_name, int mode_clients = 1)
+      : name(std::move(mode_name)), clients(mode_clients) {}
+
   std::string name;
+  int clients;
   uint64_t executed = 0;
+  /// Statements that failed or returned rows other than the oracle's.
   uint64_t diffs = 0;
+  /// Wall time summed over the mode's passes.
   double total_seconds = 0.0;
   double throughput_qps = 0.0;
   Percentiles latency_ms;
   double speedup_vs_serial = 0.0;
-  /// mean latency per query name, for perf_compare's explanations
-  std::map<std::string, double> per_query_mean_ms;
+  /// latency sum and count per query name; their ratio is the mean that
+  /// perf_compare prints to explain a regression
+  std::map<std::string, double> per_query_sum_ms;
+  std::map<std::string, uint64_t> per_query_runs;
   /// best-of-reps latency per query name; the speedup gate runs on the
   /// sum of these, because one descheduled rep should not fail CI.
   std::map<std::string, double> per_query_best_ms;
+
+  void Record(const std::string& query, double ms, bool matched) {
+    ++executed;
+    if (!matched) {
+      ++diffs;
+      return;
+    }
+    latency_ms.Add(ms);
+    per_query_sum_ms[query] += ms;
+    ++per_query_runs[query];
+    auto [it, fresh] = per_query_best_ms.emplace(query, ms);
+    if (!fresh && ms < it->second) it->second = ms;
+  }
 
   double best_total_seconds() const {
     double total = 0.0;
     for (const auto& [q, ms] : per_query_best_ms) total += ms;
     return 1e-3 * total;
   }
+};
+
+/// One open-loop point: `offered_qps` for a fixed window.
+struct OpenLoopResult {
+  double offered_qps = 0.0;
+  uint64_t completed = 0;
+  uint64_t rejected = 0;
+  /// Statements that failed (other than by shedding) or returned rows
+  /// other than the oracle's.
+  uint64_t failed = 0;
+  double throughput_qps = 0.0;
+  Percentiles latency_ms;
 };
 
 // --- served-phase span breakdown -------------------------------------------
@@ -184,54 +244,48 @@ struct Config {
   std::string out_path;
 };
 
-/// Runs one query through the mode's executor and returns its digest.
+/// Runs one statement for client `client` (the served passes give each
+/// client its own session).
 using QueryRunner =
-    std::function<StatusOr<SqlResult>(const std::string& sql)>;
+    std::function<StatusOr<SqlResult>(int client, const std::string& sql)>;
 
-ModeResult RunMode(const std::string& name, const Config& config,
-                   const std::vector<MacroQuery>& mix,
-                   const std::map<std::string, Digest>& oracle,
-                   const QueryRunner& run) {
-  ModeResult result;
-  result.name = name;
-  std::map<std::string, double> sum_ms;
-  const auto t0 = Clock::now();
-  for (int rep = 0; rep < config.reps; ++rep) {
-    for (const MacroQuery& q : mix) {
+/// One pass over the mix on `result->clients` threads, client t starting
+/// at query t; a single client runs on the calling thread.
+void RunPass(const std::vector<MacroQuery>& mix,
+             const std::map<std::string, Digest>& oracle,
+             const QueryRunner& run, ModeResult* result) {
+  std::mutex mutex;
+  auto client = [&](int t) {
+    for (size_t i = 0; i < mix.size(); ++i) {
+      const MacroQuery& q = mix[(t + i) % mix.size()];
       const auto q0 = Clock::now();
-      StatusOr<SqlResult> r = run(q.sql);
+      StatusOr<SqlResult> r = run(t, q.sql);
       const double ms = 1e3 * SecondsSince(q0);
-      ++result.executed;
       if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s failed: %s\n", name.c_str(),
+        std::fprintf(stderr, "%s: %s failed: %s\n", result->name.c_str(),
                      q.name.c_str(), r.status().ToString().c_str());
-        ++result.diffs;
-        continue;
       }
-      if (!(DigestRows(*r) == oracle.at(q.name))) ++result.diffs;
-      result.latency_ms.Add(ms);
-      sum_ms[q.name] += ms;
-      auto [it, fresh] = result.per_query_best_ms.emplace(q.name, ms);
-      if (!fresh && ms < it->second) it->second = ms;
+      const bool matched = Matches(r, q, oracle);
+      std::lock_guard<std::mutex> lock(mutex);
+      result->Record(q.name, ms, matched);
     }
+  };
+  const auto t0 = Clock::now();
+  if (result->clients == 1) {
+    client(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(result->clients);
+    for (int t = 0; t < result->clients; ++t) threads.emplace_back(client, t);
+    for (std::thread& t : threads) t.join();
   }
-  result.total_seconds = SecondsSince(t0);
-  result.throughput_qps = result.total_seconds > 0
-                              ? static_cast<double>(result.executed) /
-                                    result.total_seconds
-                              : 0.0;
-  for (const auto& [q, total] : sum_ms)
-    result.per_query_mean_ms[q] = total / config.reps;
-  return result;
+  result->total_seconds += SecondsSince(t0);
 }
 
-/// The served mode: 4 client threads sharing the mix, full serving stack.
-ModeResult RunServedMode(const Config& config, Catalog* catalog,
-                         const CostModel* model,
-                         const std::vector<MacroQuery>& mix,
-                         const std::map<std::string, Digest>& oracle,
-                         const Observability& obs, uint64_t* slow_entries,
-                         int* peak_running) {
+/// The served engine's options: 4 workers, a 256-frame pool and the slow-
+/// query log armed at --slow-ms.
+ServingEngine::Options ServedOptions(const Config& config,
+                                     const Observability& obs) {
   ServingEngine::Options options;
   options.serve.machine = MachineConfig::PaperConfig();
   options.serve.max_concurrent = 4;
@@ -239,59 +293,59 @@ ModeResult RunServedMode(const Config& config, Catalog* catalog,
   options.serve.obs = obs;
   options.buffer_pool_frames = 256;
   options.slow_query_seconds = config.slow_ms / 1e3;
-  ServingEngine engine(catalog, MachineConfig::PaperConfig(), model,
-                       std::move(options));
+  return options;
+}
 
-  ModeResult result;
-  result.name = "served";
-  std::mutex mutex;
-  std::map<std::string, double> sum_ms;
-  std::map<std::string, uint64_t> runs;
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> diffs{0};
+/// One session offers the mix at `qps` for `seconds`. The completion hook
+/// timestamps each statement, so latency includes queue wait without a
+/// waiter thread per statement.
+OpenLoopResult RunOpenLoop(ServingEngine* engine,
+                           const std::vector<MacroQuery>& mix,
+                           const std::map<std::string, Digest>& oracle,
+                           double qps, double seconds) {
+  OpenLoopResult result;
+  result.offered_qps = qps;
+  const size_t arrivals = static_cast<size_t>(std::ceil(qps * seconds));
+  // Written by the hook, which fires before the statement's ticket
+  // resolves, and read after Wait.
+  std::vector<double> latency_ms(arrivals, 0.0);
+  std::vector<std::pair<size_t, SubmittedQuery>> outstanding;
+  outstanding.reserve(arrivals);
+  std::shared_ptr<ServingSession> session = engine->OpenSession();
 
-  const int kClients = 4;
-  const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int t = 0; t < kClients; ++t) {
-    threads.emplace_back([&, t] {
-      auto session = engine.OpenSession();
-      for (int rep = 0; rep < config.reps; ++rep) {
-        for (size_t i = 0; i < mix.size(); ++i) {
-          const MacroQuery& q = mix[(t + i) % mix.size()];
-          const auto q0 = Clock::now();
-          StatusOr<SqlResult> r = session->Execute(q.sql);
-          const double ms = 1e3 * SecondsSince(q0);
-          executed.fetch_add(1);
-          if (!r.ok() || !(DigestRows(*r) == oracle.at(q.name))) {
-            diffs.fetch_add(1);
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(mutex);
-          result.latency_ms.Add(ms);
-          sum_ms[q.name] += ms;
-          ++runs[q.name];
-          auto [it, fresh] = result.per_query_best_ms.emplace(q.name, ms);
-          if (!fresh && ms < it->second) it->second = ms;
-        }
-      }
-      engine.CloseSession(session);
-    });
+  const auto start = Clock::now();
+  for (size_t n = 0; n < arrivals; ++n) {
+    std::this_thread::sleep_until(
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(n / qps)));
+    QueryOptions options;
+    options.on_complete = [&latency_ms, n,
+                           submit_time = Clock::now()](const Status&) {
+      latency_ms[n] = 1e3 * SecondsSince(submit_time);
+    };
+    StatusOr<SubmittedQuery> submitted =
+        session->Submit(mix[n % mix.size()].sql, options);
+    if (submitted.ok()) {
+      outstanding.emplace_back(n, std::move(*submitted));
+    } else if (QueryScheduler::IsAdmissionReject(submitted.status()) ||
+               OverloadController::IsOverloadShed(submitted.status())) {
+      // The admission layer dropping offered load on purpose: shed work,
+      // not a failure.
+      ++result.rejected;
+    } else {
+      ++result.failed;
+    }
   }
-  for (std::thread& t : threads) t.join();
-  result.total_seconds = SecondsSince(t0);
-
-  result.executed = executed.load();
-  result.diffs = diffs.load();
-  result.throughput_qps = result.total_seconds > 0
-                              ? static_cast<double>(result.executed) /
-                                    result.total_seconds
-                              : 0.0;
-  for (const auto& [q, total] : sum_ms)
-    result.per_query_mean_ms[q] = total / static_cast<double>(runs[q]);
-  *slow_entries = engine.slow_query_log().size();
-  *peak_running = engine.scheduler().peak_running();
+  for (auto& [n, query] : outstanding) {
+    if (Matches(query.ticket.Wait(), mix[n % mix.size()], oracle)) {
+      ++result.completed;
+      result.latency_ms.Add(latency_ms[n]);
+    } else {
+      ++result.failed;
+    }
+  }
+  result.throughput_qps = Rate(result.completed, SecondsSince(start));
+  engine->CloseSession(session);
   return result;
 }
 
@@ -386,38 +440,64 @@ int Run(int argc, char** argv) {
   }
 
   DiskArray spill_array(4, DiskMode::kInstant);
-  std::vector<ModeResult> modes;
-  modes.push_back(RunMode("serial", config, mix, oracle,
-                          [&](const std::string& sql) {
-                            return engine.Execute(sql);
-                          }));
-  modes.push_back(RunMode("vectorized", config, mix, oracle,
-                          [&](const std::string& sql) {
-                            ExecContext ctx;
-                            ctx.vectorized = true;
-                            return engine.Execute(sql, ctx);
-                          }));
-  modes.push_back(RunMode("spill", config, mix, oracle,
-                          [&](const std::string& sql) {
-                            ExecContext ctx;
-                            ctx.spill.temp_array = &spill_array;
-                            ctx.spill.memory_tuples = 256;
-                            return engine.Execute(sql, ctx);
-                          }));
-  modes.push_back(RunMode("parallel", config, mix, oracle,
-                          [&](const std::string& sql) -> StatusOr<SqlResult> {
-                            RunOptions run;
-                            run.ctx.vectorized = true;
-                            run.master.emplace().max_slots = 4;
-                            XPRS_ASSIGN_OR_RETURN(PreparedStatement p,
-                                                  engine.Prepare(sql));
-                            return engine.Run(p, run);
-                          }));
-  uint64_t slow_entries = 0;
-  int peak_running = 0;
-  modes.push_back(RunServedMode(config, &catalog, &model, mix, oracle,
-                                bench_obs.obs(), &slow_entries,
-                                &peak_running));
+  ServingEngine served(&catalog, MachineConfig::PaperConfig(), &model,
+                       ServedOptions(config, bench_obs.obs()));
+  // The twin engine runs the closed loop's 1- and 2-client points and the
+  // open loop. Its sinks are of the same kind as the served engine's but
+  // nobody reads them, so its statements reach neither the served mode's
+  // spans nor its slow-query log.
+  MemoryTraceRecorder loop_trace;
+  MetricsRegistry loop_metrics;
+  ServingEngine loop(&catalog, MachineConfig::PaperConfig(), &model,
+                     ServedOptions(config, {&loop_trace, &loop_metrics}));
+  std::vector<std::shared_ptr<ServingSession>> served_sessions, loop_sessions;
+  for (int t = 0; t < 4; ++t) served_sessions.push_back(served.OpenSession());
+  for (int t = 0; t < 2; ++t) loop_sessions.push_back(loop.OpenSession());
+
+  std::vector<ModeResult> modes = {
+      ModeResult("serial"), ModeResult("vectorized"), ModeResult("spill"),
+      ModeResult("parallel"), ModeResult("served", 4)};
+  const std::vector<QueryRunner> runners = {
+      [&](int, const std::string& sql) { return engine.Execute(sql); },
+      [&](int, const std::string& sql) {
+        ExecContext ctx;
+        ctx.vectorized = true;
+        return engine.Execute(sql, ctx);
+      },
+      [&](int, const std::string& sql) {
+        ExecContext ctx;
+        ctx.spill.temp_array = &spill_array;
+        ctx.spill.memory_tuples = 256;
+        return engine.Execute(sql, ctx);
+      },
+      [&](int, const std::string& sql) -> StatusOr<SqlResult> {
+        RunOptions run;
+        run.ctx.vectorized = true;
+        run.master.emplace().max_slots = 4;
+        XPRS_ASSIGN_OR_RETURN(PreparedStatement p, engine.Prepare(sql));
+        return engine.Run(p, run);
+      },
+      [&](int client, const std::string& sql) {
+        return served_sessions[client]->Execute(sql);
+      }};
+  std::vector<ModeResult> closed = {ModeResult("closed-loop", 1),
+                                    ModeResult("closed-loop", 2)};
+  const QueryRunner loop_runner = [&](int client, const std::string& sql) {
+    return loop_sessions[client]->Execute(sql);
+  };
+
+  // Rep r of every mode and closed-loop point runs before rep r+1 of any.
+  for (int rep = 0; rep < config.reps; ++rep) {
+    for (size_t m = 0; m < modes.size(); ++m)
+      RunPass(mix, oracle, runners[m], &modes[m]);
+    for (ModeResult& point : closed) RunPass(mix, oracle, loop_runner, &point);
+  }
+  closed.push_back(modes[4]);  // the 4-client point
+  std::vector<OpenLoopResult> open;
+  for (double qps : {100.0, 400.0})
+    open.push_back(RunOpenLoop(&loop, mix, oracle, qps, 0.5));
+  const uint64_t slow_entries = served.slow_query_log().size();
+  const int peak_running = served.scheduler().peak_running();
 
   // Speedups compare each mode's best-of-reps cost for one pass over the
   // mix against the serial engine's; best-of is one-sided against
@@ -432,6 +512,7 @@ int Run(int argc, char** argv) {
   for (ModeResult& m : modes) {
     const double mode_best = m.best_total_seconds();
     m.speedup_vs_serial = mode_best > 0 ? serial_best / mode_best : 0.0;
+    m.throughput_qps = Rate(m.executed, m.total_seconds);
     std::printf(
         "%-10s %5llu queries in %6.3fs  %7.1f q/s  p50=%.2fms p95=%.2fms "
         "p99=%.2fms  speedup=%.2fx  diffs=%llu\n",
@@ -439,6 +520,25 @@ int Run(int argc, char** argv) {
         m.total_seconds, m.throughput_qps, m.latency_ms.Get(50),
         m.latency_ms.Get(95), m.latency_ms.Get(99), m.speedup_vs_serial,
         static_cast<unsigned long long>(m.diffs));
+  }
+  for (ModeResult& p : closed) {
+    p.throughput_qps = Rate(p.executed - p.diffs, p.total_seconds);
+    std::printf(
+        "closed loop %d clients: %7.1f q/s  p50=%.2fms p95=%.2fms "
+        "p99=%.2fms (%llu ok, %llu failed)\n",
+        p.clients, p.throughput_qps, p.latency_ms.Get(50),
+        p.latency_ms.Get(95), p.latency_ms.Get(99),
+        static_cast<unsigned long long>(p.executed - p.diffs),
+        static_cast<unsigned long long>(p.diffs));
+  }
+  for (const OpenLoopResult& p : open) {
+    std::printf(
+        "open loop %4.0f q/s offered: %6.1f q/s done  p50=%.2fms "
+        "p99=%.2fms (%llu ok, %llu rejected, %llu failed)\n",
+        p.offered_qps, p.throughput_qps, p.latency_ms.Get(50),
+        p.latency_ms.Get(99), static_cast<unsigned long long>(p.completed),
+        static_cast<unsigned long long>(p.rejected),
+        static_cast<unsigned long long>(p.failed));
   }
 
   // Lifecycle span breakdown of the served phase, from the recorder.
@@ -515,8 +615,9 @@ int Run(int argc, char** argv) {
                    m.latency_ms.Get(95), m.latency_ms.Get(99),
                    m.speedup_vs_serial);
       bool first_q = true;
-      for (const auto& [q, ms] : m.per_query_mean_ms) {
-        std::fprintf(f, "%s\"%s\":%.4f", first_q ? "" : ",", q.c_str(), ms);
+      for (const auto& [q, ms] : m.per_query_sum_ms) {
+        std::fprintf(f, "%s\"%s\":%.4f", first_q ? "" : ",", q.c_str(),
+                     ms / static_cast<double>(m.per_query_runs.at(q)));
         first_q = false;
       }
       std::fprintf(f, "}}");
@@ -539,6 +640,32 @@ int Run(int argc, char** argv) {
                    static_cast<unsigned long long>(b.queries), b.total_ms,
                    b.admission_ms, b.queue_ms, b.exec_ms, b.drain_ms);
       first = false;
+    }
+    std::fprintf(f, "],\"closed_loop\":[");
+    for (size_t i = 0; i < closed.size(); ++i) {
+      const ModeResult& p = closed[i];
+      std::fprintf(f,
+                   "%s{\"clients\":%d,\"completed\":%llu,\"failed\":%llu,"
+                   "\"throughput_qps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
+                   "\"p99_ms\":%.3f}",
+                   i == 0 ? "" : ",", p.clients,
+                   static_cast<unsigned long long>(p.executed - p.diffs),
+                   static_cast<unsigned long long>(p.diffs), p.throughput_qps,
+                   p.latency_ms.Get(50), p.latency_ms.Get(95),
+                   p.latency_ms.Get(99));
+    }
+    std::fprintf(f, "],\"open_loop\":[");
+    for (size_t i = 0; i < open.size(); ++i) {
+      const OpenLoopResult& p = open[i];
+      std::fprintf(f,
+                   "%s{\"offered_qps\":%.1f,\"completed\":%llu,"
+                   "\"rejected\":%llu,\"failed\":%llu,"
+                   "\"throughput_qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f}",
+                   i == 0 ? "" : ",", p.offered_qps,
+                   static_cast<unsigned long long>(p.completed),
+                   static_cast<unsigned long long>(p.rejected),
+                   static_cast<unsigned long long>(p.failed), p.throughput_qps,
+                   p.latency_ms.Get(50), p.latency_ms.Get(99));
     }
     std::fprintf(f,
                  "]},\"overhead\":{\"plain_seconds\":%.6f,"

@@ -27,7 +27,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "exec/profile.h"
 #include "obs/obs.h"
@@ -60,22 +59,6 @@ inline bool BenchFlagDouble(const char* arg, const char* flag, double* out) {
   std::string value;
   if (!BenchFlagString(arg, flag, &value)) return false;
   *out = std::atof(value.c_str());
-  return true;
-}
-
-/// Comma-separated list of doubles ("--qps=100,400,1200").
-inline bool BenchFlagDoubleList(const char* arg, const char* flag,
-                                std::vector<double>* out) {
-  std::string value;
-  if (!BenchFlagString(arg, flag, &value)) return false;
-  out->clear();
-  const char* p = value.c_str();
-  while (*p != '\0') {
-    out->push_back(std::atof(p));
-    const char* comma = std::strchr(p, ',');
-    if (comma == nullptr) break;
-    p = comma + 1;
-  }
   return true;
 }
 

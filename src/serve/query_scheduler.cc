@@ -14,6 +14,12 @@ namespace {
 
 constexpr const char* kAdmissionRejectPrefix = "admission queue full";
 
+// Times one query may be preempted before it stops being a victim. A
+// preempted query re-runs from scratch, so a second eviction would throw
+// its work away again; capping it at one keeps a low-priority query from
+// starving behind a stream of higher-priority arrivals.
+constexpr int kMaxPreemptions = 1;
+
 int64_t SteadyNs(std::chrono::steady_clock::time_point tp) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              tp.time_since_epoch())
@@ -46,9 +52,7 @@ int64_t ServeTicket::query_id() const {
 
 QueryScheduler::QueryScheduler(const ServeOptions& options)
     : options_(options),
-      io_budget_(options.io_rate_budget > 0
-                     ? options.io_rate_budget
-                     : options.machine.nominal_bandwidth()),
+      io_budget_(options.machine.nominal_bandwidth()),
       overload_(options.overload, options.obs),
       paused_(options.start_paused) {
   ResolveMetrics();
@@ -477,7 +481,6 @@ int QueryScheduler::PickNextLocked(ExecGrant* grant) {
 }
 
 bool QueryScheduler::TryPreemptLocked(const Entry& cand) {
-  if (!options_.enable_preemption) return false;
   // One reclaim in flight at a time: wait for the victim to unwind and
   // release its pages before deciding whether another eviction is needed.
   for (const auto& [id, info] : running_)
@@ -491,7 +494,7 @@ bool QueryScheduler::TryPreemptLocked(const Entry& cand) {
   for (const auto& [id, info] : running_) {
     if (info.cancel == nullptr || info.memory_pages <= 0) continue;
     if (info.priority >= cand.request.priority) continue;
-    if (info.preempt_count >= options_.max_preemptions) continue;
+    if (info.preempt_count >= kMaxPreemptions) continue;
     if (victim == nullptr || info.priority < victim->priority) {
       victim_id = id;
       victim = &info;

@@ -160,11 +160,9 @@ struct ServeOptions {
   int max_concurrent = 2;
   /// Queue capacity; a Submit beyond it is rejected synchronously.
   size_t max_queue_depth = 64;
-  /// Global working-memory budget in 8 KB pages. 0 = unlimited.
+  /// Global working-memory budget in 8 KB pages. 0 = unlimited. The
+  /// aggregate io-rate budget is always the machine's nominal bandwidth.
   double memory_pages_budget = 0.0;
-  /// Aggregate io-rate budget in io/s. 0 = the machine's nominal
-  /// bandwidth.
-  double io_rate_budget = 0.0;
   /// How long a memory-blocked query waits for pages to free up before
   /// it is degraded to the serial spill path.
   double degrade_wait_seconds = 0.05;
@@ -175,12 +173,6 @@ struct ServeOptions {
   /// is degraded/shedding the effective cpu/io/memory/queue budgets shrink
   /// by its scale factors and low-priority submissions are shed.
   OverloadOptions overload;
-  /// Emergency memory reclaim: when a strictly higher-priority query has
-  /// waited past degrade_wait_seconds for pages, preempt (cancel + requeue)
-  /// the lowest-priority running query instead of degrading the waiter.
-  bool enable_preemption = true;
-  /// Times one query may be preempted before it stops being a victim.
-  int max_preemptions = 1;
   Observability obs;
 };
 
@@ -266,9 +258,11 @@ class QueryScheduler {
   /// Picks the next admissible entry and computes its grant. Returns the
   /// queue index or -1; fills *grant.
   int PickNextLocked(ExecGrant* grant);
-  /// Emergency memory reclaim: asks the lowest-priority running query
-  /// (strictly below `cand`'s priority) to unwind so `cand` can fit.
-  /// Returns true when a victim was preempted.
+  /// Emergency memory reclaim, always on: once `cand` has waited past
+  /// degrade_wait_seconds for pages, asks the lowest-priority running
+  /// query (strictly below `cand`'s priority) to unwind (cancel + requeue)
+  /// so `cand` can fit instead of degrading. Returns true when a victim
+  /// was preempted.
   bool TryPreemptLocked(const Entry& cand);
   /// Instantaneous pressure signals for the overload controller.
   OverloadSignals SignalsLocked() const;

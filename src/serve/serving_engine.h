@@ -57,7 +57,7 @@ struct QueryOptions {
   /// Optional completion hook, fired exactly once on a scheduler thread
   /// when the query resolves (any outcome), strictly before ticket
   /// waiters are released. Must not call back into the serving engine.
-  /// The open-loop bench uses this to timestamp completions without a
+  /// bench_macro's open loop uses this to timestamp completions without a
   /// waiter thread per query.
   std::function<void(const Status&)> on_complete;
 };

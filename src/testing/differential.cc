@@ -510,16 +510,9 @@ Status DifferentialOracle::CheckPlanChaos(const PlanNode& plan) {
   ++report_.executions_compared;
   report_.reference_rows += ref.size();
 
-  // Modes behind the resilience ladder: expected to absorb most faults
-  // (retry / degrade), recorded on chaos_obs.
-  XPRS_RETURN_IF_ERROR(ChaosCase(plan, reference, "resilient-serial", [&] {
-    ResilientExecOptions res;
-    res.retry = options_.chaos_retry;
-    res.degrade_spill_array = &temp_array_;
-    res.degrade_spill_tuples = options_.spill_memory_tuples;
-    res.obs = options_.chaos_obs;
-    return ExecutePlanResilient(plan, plain, res);
-  }));
+  // The master behind its fragment retry / degrade ladder, the one
+  // served statements run: expected to absorb most faults, recorded on
+  // chaos_obs.
   if (options_.run_master) {
     XPRS_RETURN_IF_ERROR(ChaosCase(plan, reference, "master", [&] {
       return RunMaster(plan, /*chaos=*/true);
@@ -656,38 +649,20 @@ Status DifferentialOracle::RunConcurrent(
     request.session_id =
         static_cast<int64_t>(i) % options_.concurrent_sessions;
     request.label = request.estimate.name;
-    if (chaos) {
-      // Behind the resilience ladder: injected faults are retried, and
-      // persistent pool pressure degrades to the spill path.
-      request.job = [this, plan,
-                     &pool](const ExecGrant& grant) -> StatusOr<SqlResult> {
-        ExecContext ctx;
-        ctx.pool = &pool;
-        ctx.cancel = grant.cancel;
-        ResilientExecOptions res;
-        res.retry = options_.chaos_retry;
-        res.degrade_spill_array = &temp_array_;
-        res.degrade_spill_tuples = options_.spill_memory_tuples;
-        res.obs = options_.chaos_obs;
-        XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                              ExecutePlanResilient(*plan, ctx, res));
-        SqlResult result;
-        result.rows = std::move(rows);
-        return result;
-      };
-    } else {
-      request.job = [plan,
-                     &pool](const ExecGrant& grant) -> StatusOr<SqlResult> {
-        ExecContext ctx;
-        ctx.pool = &pool;
-        ctx.cancel = grant.cancel;
-        XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                              ExecutePlanSequential(*plan, ctx));
-        SqlResult result;
-        result.rows = std::move(rows);
-        return result;
-      };
-    }
+    request.job = [this, plan, chaos,
+                   &pool](const ExecGrant& grant) -> StatusOr<SqlResult> {
+      ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.cancel = grant.cancel;
+      // Under chaos, fetches retry backpressure as ServingEngine's do next
+      // to its pool; a read fault surfaces as a retryable failure.
+      if (chaos) ctx.fetch_retry = &options_.chaos_retry;
+      XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                            ExecutePlanSequential(*plan, ctx));
+      SqlResult result;
+      result.rows = std::move(rows);
+      return result;
+    };
     StatusOr<ServeTicket> ticket = scheduler.Submit(std::move(request));
     if (!ticket.ok()) {
       overall = Status::Internal(

@@ -97,16 +97,18 @@ struct DifferentialOptions {
   size_t buffer_pool_frames = 16;
   int max_slots = 8;
 
-  /// Chaos mode (CheckPlanChaos): while each execution mode runs, every
-  /// disk read independently fails with this probability (seeded from the
-  /// oracle's rng). Bare modes may fail — any failure must carry a
-  /// *retryable* status (IoError / ResourceExhausted), never a crash or a
-  /// wrong answer — while the modes behind the resilience ladder
-  /// (resilient serial, master) usually absorb the faults and must then
-  /// match the reference exactly. 0 disables CheckPlanChaos.
+  /// Chaos mode (CheckPlanChaos, CheckPlansConcurrentChaos): while each
+  /// execution mode runs, every disk read independently fails with this
+  /// probability (seeded from the oracle's rng). Bare modes may fail — any
+  /// failure must carry a *retryable* status (IoError /
+  /// ResourceExhausted), never a crash or a wrong answer — while the
+  /// master, behind the fragment retry / degrade ladder that served
+  /// statements run, usually absorbs the faults and must then match the
+  /// reference exactly. 0 disables both.
   double chaos_read_fault_rate = 0.0;
-  /// Retry budget per rung for the chaos resilient-serial / master runs.
-  /// Backoff defaults to zero so fixed-seed chaos suites stay fast.
+  /// Retry budget per rung of the chaos master's ladder, and the fetch
+  /// retry of the concurrent-chaos jobs. Backoff defaults to zero so
+  /// fixed-seed chaos suites stay fast.
   RetryPolicy chaos_retry = [] {
     RetryPolicy p;
     p.max_attempts = 4;
@@ -164,8 +166,8 @@ class DifferentialOracle {
   /// Chaos mode: re-runs `plan` through the configured modes with a
   /// seeded rate-`options.chaos_read_fault_rate` read-fault injector armed
   /// the whole time. Every mode must either reproduce the reference result
-  /// exactly or fail with a retryable status; the resilience-ladder modes
-  /// record their recoveries on `options.chaos_obs` (resilience.retry.* /
+  /// exactly or fail with a retryable status; the master records its
+  /// ladder's recoveries on `options.chaos_obs` (resilience.retry.* /
   /// resilience.degrade.* counters and trace events). No-op when the rate
   /// is <= 0.
   Status CheckPlanChaos(const PlanNode& plan);
@@ -187,9 +189,9 @@ class DifferentialOracle {
 
   /// Chaos variant of the concurrent mode: the whole replay runs with a
   /// seeded rate-`chaos_read_fault_rate` read-fault injector armed on the
-  /// array while every query executes behind the resilience ladder
-  /// (retry + spill degrade). Each query must either match its reference
-  /// or fail with a retryable status. No-op when the rate is <= 0.
+  /// array; each query's fetches retry backpressure with `chaos_retry`.
+  /// Each query must either match its reference or fail with a retryable
+  /// status. No-op when the rate is <= 0.
   Status CheckPlansConcurrentChaos(const std::vector<const PlanNode*>& plans);
 
   /// §2.2 io conservation: `table` scanned by a ParallelFragmentRun at

@@ -1,8 +1,7 @@
 // Resilience subsystem tests: cancellation tokens and deadlines (checked
 // from the serial executor, the parallel master and the SQL front door,
 // always with zero pinned frames left behind), the fragment retry /
-// degrade ladder, and buffer-pool backpressure with inline retry and the
-// degrade-to-spill path.
+// degrade ladder, and buffer-pool backpressure with inline retry.
 
 #include <gtest/gtest.h>
 
@@ -107,6 +106,11 @@ TEST_F(ResilienceTest, ZeroDeadlineParallelMaster) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(pool.PinnedFrames(), 0u);
   EXPECT_GE(metrics.counter("resilience.cancel.deadline")->value(), 1u);
+  // Cancellation is terminal: the ladder must not burn retry budget (or
+  // sleep) on a query the user already gave up on.
+  EXPECT_EQ(metrics.counter("resilience.retry.fragment")->value(), 0u);
+  EXPECT_EQ(metrics.counter("resilience.degrade.parallelism")->value(), 0u);
+  EXPECT_EQ(metrics.counter("resilience.degrade.serial")->value(), 0u);
 }
 
 // The SQL front door honors the token from planning onwards.
@@ -267,51 +271,6 @@ TEST_F(ResilienceTest, BackpressureRetryRecoversWhenPinsDrain) {
   releaser.join();
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_GE(metrics.counter("resilience.backpressure.retry")->value(), 1u);
-}
-
-// Persistent pool exhaustion walks ExecutePlanResilient's ladder: retry
-// the whole plan, then degrade — bypass the pool and run the §5 spill
-// path — instead of failing the query.
-TEST_F(ResilienceTest, ResilientExecutorDegradesToSpill) {
-  MetricsRegistry metrics;
-  BufferPool pool(array_.get(), 8);
-  pool.SetSoftPinLimit(1);
-  BlockId b0 = t_->file().BlockOf(0).value();
-  auto held = pool.Fetch(b0);  // pinned for the whole test
-  ASSERT_TRUE(held.ok());
-
-  DiskArray temp(4, DiskMode::kInstant);
-  ExecContext ctx;
-  ctx.pool = &pool;
-  ResilientExecOptions options;
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff_ms = 0;
-  options.degrade_spill_array = &temp;
-  options.degrade_spill_tuples = 64;
-  options.obs.metrics = &metrics;
-
-  auto plan = MakeSort(MakeSeqScan(t_, Predicate()), 0);
-  auto rows = ExecutePlanResilient(*plan, ctx, options);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows->size(), 800u);
-  EXPECT_EQ(metrics.counter("resilience.degrade.spill")->value(), 1u);
-  EXPECT_GE(metrics.counter("resilience.retry.query")->value(), 1u);
-}
-
-// Cancellation is terminal: the resilient executor must not burn retry
-// budget (or sleep) on a query the user already gave up on.
-TEST_F(ResilienceTest, CancellationIsNeverRetried) {
-  MetricsRegistry metrics;
-  CancellationToken token;
-  token.Cancel("user abort");
-  ExecContext ctx;
-  ctx.cancel = &token;
-  ResilientExecOptions options;
-  options.obs.metrics = &metrics;
-  auto rows = ExecutePlanResilient(*JoinPlan(), ctx, options);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(metrics.counter("resilience.retry.query")->value(), 0u);
 }
 
 }  // namespace

@@ -8,16 +8,18 @@
 //   baseline   no faults; canon answers, poison-quarantine drill
 //   ramp       buffer-pool fetch fault rate climbs linearly to the peak
 //   peak       sustained storm; the read breaker opens, the overload
-//              controller sheds, spill writes fail too
+//              controller sheds (spill write faults are armed too, but no
+//              statement degrades to spill at the soak's memory budget)
 //   recovery   faults drop to zero; breakers close, the controller steps
-//              back down to healthy
+//              back down to healthy, and no statement fails
 //
 // The harness asserts the robustness invariants rather than timing them:
 // zero result diffs vs the oracle among successful queries, zero leaked
 // buffer-pool pins and sessions, the health state machine reaching
 // shedding under the storm and returning to healthy after it, and a
 // quarantined poison statement fast-rejecting without execution. Results
-// land in BENCH_soak.json; scripts/ci.sh runs a time-boxed soak and gates
+// land in BENCH_soak.json, with the engine's serve.*, overload.* and
+// resilience.* counters; scripts/ci.sh runs a time-boxed soak and gates
 // on the invariants (EXPERIMENTS.md "Fault-storm recovery curve").
 //
 //   bench_soak [--rows=N] [--duration-s=S] [--clients=K]
@@ -193,8 +195,7 @@ int Run(int argc, char** argv) {
 
   // ---- oracle canon BEFORE any fault is armed ----
   // Parameterized templates spread the workload over many distinct
-  // statement texts so the poison threshold (keyed by text) is never
-  // crossed by an honest query that merely kept meeting the storm.
+  // statement texts (the poison log keys on the text).
   std::vector<CheckedQuery> mix;
   {
     SqlEngine oracle(&catalog, MachineConfig::PaperConfig(), &model);
@@ -225,24 +226,17 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // ---- serving engine tuned so the state machine is visible in seconds --
+  // ---- the serving engine, with metrics but no trace: a trace of every
+  // soak statement would hold hundreds of thousands of events ----
+  MetricsRegistry metrics;
   ServingEngine::Options options;
   options.serve.machine = MachineConfig::PaperConfig();
   options.serve.max_concurrent = 4;
   options.serve.max_queue_depth = 32;
   options.serve.memory_pages_budget = 512.0;
-  options.serve.overload.window = 32;
-  options.serve.overload.min_samples = 8;
-  options.serve.overload.min_dwell_seconds = 0.05;
-  options.serve.overload.recovery_clean_evals = 4;
+  options.serve.obs.metrics = &metrics;
   options.buffer_pool_frames = 128;
-  options.query_retry.max_attempts = 3;
-  options.query_retry.initial_backoff_ms = 1;
-  options.query_retry.max_backoff_ms = 8;
   options.retry_jitter_seed = seed;
-  options.poison_failures = 4;
-  options.breaker.failure_threshold = 5;
-  options.breaker.open_seconds = 0.05;
   ServingEngine engine(&catalog, MachineConfig::PaperConfig(), &model,
                        std::move(options));
 
@@ -252,8 +246,9 @@ int Run(int argc, char** argv) {
     cursed_blocks.insert(cursed->file().BlockOf(p).value());
   chaos.PoisonBlocks(std::move(cursed_blocks));
   engine.pool()->SetFaultInjector(&chaos);
-  // Spill domain: degraded queries write runs to the spill array; a
-  // seeded write-fault script there exercises the spill_io breaker.
+  // Spill domain: a seeded write-fault script on the spill array. The mix's
+  // largest memory estimate is under one page against a 512-page budget,
+  // so no statement degrades to spill and the spill_io breaker never opens.
   ScriptedFaultInjector spill_faults;
   engine.spill_array()->SetFaultInjector(&spill_faults);
 
@@ -293,7 +288,8 @@ int Run(int argc, char** argv) {
   const auto t0 = Clock::now();
   std::thread driver([&] {
     // Walks the timeline, re-arming the injectors at phase boundaries and
-    // every 20 ms during the ramp.
+    // every 20 ms during the ramp. A phase is published after its rates
+    // are set, so no statement counted in recovery meets a fault.
     double edges[kNumPhases + 1];
     edges[0] = 0.0;
     for (int p = 0; p < kNumPhases; ++p)
@@ -302,7 +298,6 @@ int Run(int argc, char** argv) {
       double t = SecondsSince(t0);
       int p = kNumPhases - 1;
       while (p > 0 && t < edges[p]) --p;
-      phase_index.store(p);
       double rate = 0.0;
       if (p == 1)  // ramp
         rate = peak_fault_rate * (t - edges[1]) / (edges[2] - edges[1]);
@@ -313,6 +308,7 @@ int Run(int argc, char** argv) {
       spill_script.write_fault_rate = rate * 0.5;
       spill_script.short_write_bytes = 0;
       spill_faults.Arm(spill_script, seed ^ (0x5B1ULL + p));
+      phase_index.store(p);
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     chaos.SetRate(0.0);
@@ -491,7 +487,17 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(phases[p].breaker.load()),
           P99(&phases[p].latencies_ms));
     }
-    std::fprintf(f, "]}\n");
+    std::fprintf(f, "],\"counters\":{");
+    bool first = true;
+    for (const auto& [name, value] : metrics.CounterValues()) {
+      if (name.rfind("serve.", 0) != 0 && name.rfind("overload.", 0) != 0 &&
+          name.rfind("resilience.", 0) != 0)
+        continue;
+      std::fprintf(f, "%s\"%s\":%llu", first ? "" : ",", name.c_str(),
+                   static_cast<unsigned long long>(value));
+      first = false;
+    }
+    std::fprintf(f, "}}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
   }

@@ -12,8 +12,9 @@ schema and absolute gates; exec and macro also compare with a baseline:
   profile  bench_profile --profile-out: totals reconcile with the
            operators; fragments and the timeline are non-empty.
   soak     bench_soak: 0 oracle diffs, 0 leaked pins or sessions,
-           shedding reached, recovery to healthy, and a poison statement
-           quarantined and fast-rejected.
+           shedding reached, recovery to healthy, 0 failed statements in
+           the recovery phase, and a poison statement quarantined and
+           fast-rejected. Rungs whose counter reads 0 are printed.
   exec     bench_exec: scan_filter and hash_join_count >= 2.0x,
            join_group_sum >= 1.0x; against a baseline, each speedup.
   macro    bench_macro: 0 diffs per mode and overall, span coverage
@@ -122,6 +123,11 @@ def gates_profile(profile, gate):
 # on the same properties; checking them here too means a silent change to
 # the binary's own gating still trips CI.
 
+# Degradation rungs the soak's storm does not reach; printed so they stay
+# visible.
+SOAK_RUNGS = ("serve.degraded", "serve.preempted",
+              "overload.breaker.spill_io.opened")
+
 def gates_soak(soak, gate):
     ov, poison = soak["overload"], soak["poison"]
     gate(soak["diffs"] != 0, f"soak: {soak['diffs']} oracle diffs")
@@ -135,9 +141,20 @@ def gates_soak(soak, gate):
     gate(not poison["quarantined"], "soak: poison statement not quarantined")
     gate(not poison["fast_reject"],
          "soak: quarantined statement was not fast-rejected")
+    # Every fault is disarmed before the recovery phase starts, so a
+    # statement failing there is the program's fault: say, a storm-time
+    # quarantine of an honest statement.
+    recovery = by_name(soak["phases"]).get("recovery")
+    gate(recovery is None, "soak: no recovery phase")
+    failed = recovery["failed"] if recovery is not None else 0
+    gate(failed != 0, f"soak: {failed} statements failed in the recovery "
+         "phase, with every fault disarmed")
     print(f"soak: {soak['completed']}/{soak['submitted']} completed, "
           f"{soak['shed']} shed, {len(ov['transitions'])} transitions, "
           f"final={ov['final_state']}")
+    unreached = [r for r in SOAK_RUNGS if soak["counters"].get(r, 0) == 0]
+    print("soak: rungs that never fired (reported, not gated): " +
+          (", ".join(unreached) or "none"))
 
 
 # --- bench_exec ----------------------------------------------------------
@@ -345,7 +362,7 @@ KINDS = {
     "soak": ("poison", {
         "": "seed duration_s clients peak_fault_rate faults_injected "
             "submitted completed failed shed diffs leaked_pins "
-            "leaked_sessions overload breakers poison phases",
+            "leaked_sessions overload breakers poison phases counters",
         "overload": "reached_degraded reached_shedding recovered "
                     "final_state sheds transitions",
         "overload.transitions[]": "t_s from to reason",

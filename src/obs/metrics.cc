@@ -118,6 +118,13 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
   return slot.get();
 }
 
+std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::map<std::string, uint64_t> values;
+  for (const auto& [name, c] : counters_) values[name] = c->value();
+  return values;
+}
+
 std::string MetricsRegistry::DumpJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{\"counters\":{";

@@ -118,6 +118,9 @@ class MetricsRegistry {
   /// Seconds-scale buckets suitable for interval / latency observations.
   static std::vector<double> DefaultBounds();
 
+  /// Every counter's current value, by name.
+  std::map<std::string, uint64_t> CounterValues() const;
+
   /// One-line-per-metric JSON snapshot, keys sorted by name:
   ///   {"counters":{...},"gauges":{...},"histograms":{...}}
   std::string DumpJson() const;

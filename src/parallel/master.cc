@@ -252,20 +252,6 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
   XPRS_CHECK(scheduler.Idle());
 
   result.elapsed_seconds = Now();
-  if (options_.obs.metrics != nullptr) {
-    // Mirror the ladder counters into metrics so recoveries are visible
-    // in snapshots even when the caller drops MasterRunResult.
-    MetricsRegistry* m = options_.obs.metrics;
-    if (result.fragment_retries > 0)
-      m->counter("resilience.retry.fragment.total")
-          ->Increment(result.fragment_retries);
-    if (result.parallelism_degrades > 0)
-      m->counter("resilience.degrade.parallelism.total")
-          ->Increment(result.parallelism_degrades);
-    if (result.serial_fallbacks > 0)
-      m->counter("resilience.degrade.serial.total")
-          ->Increment(result.serial_fallbacks);
-  }
   result.num_adjustments = scheduler.num_adjustments();
   result.decisions = scheduler.decisions();
   for (auto& qs : queries_) {
@@ -302,7 +288,7 @@ StatusOr<TempResult> ParallelMaster::RecoverTask(TaskId id, Status failure,
       RecordTimeline(options_.ctx.profile, frag_root,
                      AdjustmentEvent::Kind::kAdjust, Now(), task.frag_id, id,
                      task.parallelism);
-    } else if (options_.serial_fallback) {
+    } else {
       // Ladder floor: one pass with the trusted serial executor on the
       // master thread.
       ++result->serial_fallbacks;
@@ -313,8 +299,6 @@ StatusOr<TempResult> ParallelMaster::RecoverTask(TaskId id, Status failure,
                      1.0);
       return ExecuteFragment(query.graph, task.frag_id, GatherInputs(task),
                              options_.ctx);
-    } else {
-      return failure;
     }
     XPRS_RETURN_IF_ERROR(BackoffSleep(options_.retry,
                                       std::max(1, task.failures),

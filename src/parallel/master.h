@@ -72,11 +72,9 @@ struct MasterOptions {
   /// (same fragment, same granule protocol) up to retry.max_attempts
   /// times with exponential backoff, then the ladder halves the
   /// parallelism (§2.4 adjustment path) and retries again, down to 1.
+  /// The final rung re-runs the fragment once with the trusted serial
+  /// executor on the master thread; its failure surfaces.
   RetryPolicy retry;
-  /// Final rung: after the ladder bottoms out at parallelism 1, re-run
-  /// the fragment once with the trusted serial executor on the master
-  /// thread. Disable to surface the last failure instead.
-  bool serial_fallback = true;
 };
 
 /// The master backend. Not reusable across Run() calls concurrently.

@@ -36,8 +36,8 @@ std::string SlowQueryEntry::ToJson() const {
 
 // --- SlowQueryLog ----------------------------------------------------------
 
-SlowQueryLog::SlowQueryLog(double threshold_seconds, size_t top_k)
-    : threshold_seconds_(threshold_seconds), top_k_(top_k) {}
+SlowQueryLog::SlowQueryLog(double threshold_seconds)
+    : threshold_seconds_(threshold_seconds) {}
 
 void SlowQueryLog::Record(SlowQueryEntry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -224,7 +224,7 @@ void QueryLifecycle::Finish(const Status& status, bool rejected) {
                      [](const OperatorStats* a, const OperatorStats* b) {
                        return a->inclusive_seconds() > b->inclusive_seconds();
                      });
-    const size_t k = std::min(slow_log_->top_k(), ops.size());
+    const size_t k = std::min(SlowQueryLog::kTopK, ops.size());
     for (size_t i = 0; i < k; ++i) {
       SlowQueryOperator op;
       op.label = ops[i]->label;

@@ -82,14 +82,16 @@ struct SlowQueryEntry {
 /// Threshold-triggered sink for SlowQueryEntry records. Thread-safe.
 class SlowQueryLog {
  public:
+  /// How many of a statement's slowest operators an entry names.
+  static constexpr size_t kTopK = 3;
+
   /// Queries slower than `threshold_seconds` (submit to resolve) are
-  /// recorded with their top_k slowest operators. threshold <= 0 disables
+  /// recorded with their kTopK slowest operators. threshold <= 0 disables
   /// recording entirely.
-  explicit SlowQueryLog(double threshold_seconds = 0.0, size_t top_k = 3);
+  explicit SlowQueryLog(double threshold_seconds = 0.0);
 
   bool enabled() const { return threshold_seconds_ > 0.0; }
   double threshold_seconds() const { return threshold_seconds_; }
-  size_t top_k() const { return top_k_; }
 
   void Record(SlowQueryEntry entry);
 
@@ -100,7 +102,6 @@ class SlowQueryLog {
 
  private:
   double threshold_seconds_;
-  size_t top_k_;
   mutable std::mutex mutex_;
   std::vector<SlowQueryEntry> entries_;
 };

@@ -29,9 +29,8 @@ const char* HealthStateName(HealthState state) {
   return "unknown";
 }
 
-OverloadController::OverloadController(const OverloadOptions& options,
-                                       const Observability& obs)
-    : options_(options), obs_(obs), epoch_(std::chrono::steady_clock::now()) {
+OverloadController::OverloadController(const Observability& obs)
+    : obs_(obs), epoch_(std::chrono::steady_clock::now()) {
   if (obs_.metrics != nullptr) {
     g_state_ = obs_.metrics->gauge("overload.state");
     m_transitions_ = obs_.metrics->counter("overload.transitions");
@@ -51,17 +50,14 @@ void OverloadController::SetMemoryProbe(std::function<double()> probe) {
   memory_probe_ = std::move(probe);
 }
 
-void OverloadController::RecordOutcome(bool failure, double latency_seconds) {
-  if (!options_.enabled) return;
+void OverloadController::RecordOutcome(bool failure) {
   std::lock_guard<std::mutex> lock(mutex_);
   outcomes_.push_back(failure);
   if (failure) ++window_failures_;
-  latencies_.push_back(latency_seconds);
-  while (outcomes_.size() > options_.window) {
+  while (outcomes_.size() > kWindow) {
     if (outcomes_.front()) --window_failures_;
     outcomes_.pop_front();
   }
-  while (latencies_.size() > options_.window) latencies_.pop_front();
 }
 
 HealthState OverloadController::TargetLocked(const OverloadSignals& signals,
@@ -69,65 +65,30 @@ HealthState OverloadController::TargetLocked(const OverloadSignals& signals,
   double mem_frac = signals.mem_frac;
   if (memory_probe_) mem_frac = std::max(mem_frac, memory_probe_());
 
+  // -1 (never over a threshold) until the window holds kMinSamples.
   double fault_rate = -1.0;
-  if (outcomes_.size() >= options_.min_samples)
+  if (outcomes_.size() >= kMinSamples)
     fault_rate = static_cast<double>(window_failures_) /
                  static_cast<double>(outcomes_.size());
 
-  double p95 = -1.0;
-  const bool latency_armed =
-      options_.degraded_p95_seconds > 0.0 || options_.shedding_p95_seconds > 0.0;
-  if (latency_armed && latencies_.size() >= options_.min_samples) {
-    std::vector<double> sorted(latencies_.begin(), latencies_.end());
-    std::sort(sorted.begin(), sorted.end());
-    p95 = sorted[std::min(sorted.size() - 1,
-                          static_cast<size_t>(sorted.size() * 0.95))];
-  }
-
-  auto over = [&](double value, double threshold) {
-    return threshold > 0.0 && value >= 0.0 && value >= threshold;
+  // Each signal against its shedding bar, then against its degraded bar.
+  struct Signal {
+    const char* name;
+    double value, degraded, shedding;
   };
-
-  if (over(fault_rate, options_.shedding_fault_rate)) {
-    *reason = StrFormat("fault_rate %.2f >= %.2f", fault_rate,
-                        options_.shedding_fault_rate);
-    return HealthState::kShedding;
-  }
-  if (over(signals.queue_frac, options_.shedding_queue_frac)) {
-    *reason = StrFormat("queue %.2f >= %.2f", signals.queue_frac,
-                        options_.shedding_queue_frac);
-    return HealthState::kShedding;
-  }
-  if (over(mem_frac, options_.shedding_mem_frac)) {
-    *reason = StrFormat("mem %.2f >= %.2f", mem_frac,
-                        options_.shedding_mem_frac);
-    return HealthState::kShedding;
-  }
-  if (over(p95, options_.shedding_p95_seconds)) {
-    *reason = StrFormat("p95 %.3fs >= %.3fs", p95,
-                        options_.shedding_p95_seconds);
-    return HealthState::kShedding;
-  }
-
-  if (over(fault_rate, options_.degraded_fault_rate)) {
-    *reason = StrFormat("fault_rate %.2f >= %.2f", fault_rate,
-                        options_.degraded_fault_rate);
-    return HealthState::kDegraded;
-  }
-  if (over(signals.queue_frac, options_.degraded_queue_frac)) {
-    *reason = StrFormat("queue %.2f >= %.2f", signals.queue_frac,
-                        options_.degraded_queue_frac);
-    return HealthState::kDegraded;
-  }
-  if (over(mem_frac, options_.degraded_mem_frac)) {
-    *reason = StrFormat("mem %.2f >= %.2f", mem_frac,
-                        options_.degraded_mem_frac);
-    return HealthState::kDegraded;
-  }
-  if (over(p95, options_.degraded_p95_seconds)) {
-    *reason = StrFormat("p95 %.3fs >= %.3fs", p95,
-                        options_.degraded_p95_seconds);
-    return HealthState::kDegraded;
+  const Signal checked[] = {
+      {"fault_rate", fault_rate, kDegradedFaultRate, kSheddingFaultRate},
+      {"queue", signals.queue_frac, kDegradedQueueFrac, kSheddingQueueFrac},
+      {"mem", mem_frac, kDegradedMemFrac, kSheddingMemFrac}};
+  for (HealthState target : {HealthState::kShedding, HealthState::kDegraded}) {
+    for (const Signal& signal : checked) {
+      const double bar = target == HealthState::kShedding ? signal.shedding
+                                                          : signal.degraded;
+      if (signal.value >= bar) {
+        *reason = StrFormat("%s %.2f >= %.2f", signal.name, signal.value, bar);
+        return target;
+      }
+    }
   }
   *reason = "signals clear";
   return HealthState::kHealthy;
@@ -157,7 +118,6 @@ void OverloadController::TransitionLocked(HealthState to,
 }
 
 void OverloadController::Evaluate(const OverloadSignals& signals) {
-  if (!options_.enabled) return;
   std::lock_guard<std::mutex> lock(mutex_);
   std::string reason;
   HealthState target = TargetLocked(signals, &reason);
@@ -173,13 +133,12 @@ void OverloadController::Evaluate(const OverloadSignals& signals) {
 
   // Monotone recovery: step down one level at a time, only after the
   // signals stayed below the *current* state's entry bar for
-  // recovery_clean_evals consecutive evaluations and the state held for
-  // min_dwell_seconds.
+  // kRecoveryCleanEvals consecutive evaluations and the state held for
+  // kMinDwellSeconds.
   if (target < current) {
     ++clean_evals_;
     const double held = NowSeconds() - last_transition_seconds_;
-    if (clean_evals_ >= options_.recovery_clean_evals &&
-        held >= options_.min_dwell_seconds) {
+    if (clean_evals_ >= kRecoveryCleanEvals && held >= kMinDwellSeconds) {
       HealthState next = current == HealthState::kShedding
                              ? HealthState::kDegraded
                              : HealthState::kHealthy;
@@ -192,18 +151,14 @@ void OverloadController::Evaluate(const OverloadSignals& signals) {
 }
 
 Status OverloadController::AdmissionCheck(int priority) {
-  if (!options_.enabled) return Status::OK();
-  HealthState current = state();
-  if (current == HealthState::kHealthy) return Status::OK();
-  int floor = current == HealthState::kShedding
-                  ? options_.shed_priority_floor
-                  : options_.degraded_priority_floor;
-  if (priority >= floor) return Status::OK();
+  if (state() != HealthState::kShedding || priority >= kShedPriorityFloor)
+    return Status::OK();
   sheds_.fetch_add(1, std::memory_order_relaxed);
   if (m_shed_ != nullptr) m_shed_->Increment();
   return Status::ResourceExhausted(
       StrFormat("%s: state=%s, priority %d below admission floor %d",
-                kShedPrefix, HealthStateName(current), priority, floor));
+                kShedPrefix, HealthStateName(HealthState::kShedding),
+                priority, kShedPriorityFloor));
 }
 
 const char* OverloadController::kShedPrefix = "admission shed (overload)";
@@ -218,42 +173,19 @@ void OverloadController::CountShed() {
   if (m_shed_ != nullptr) m_shed_->Increment();
 }
 
-double OverloadController::cpu_scale() const {
+double OverloadController::budget_scale() const {
   switch (state()) {
     case HealthState::kDegraded:
-      return options_.cpu_scale_degraded;
+      return kDegradedBudgetScale;
     case HealthState::kShedding:
-      return options_.cpu_scale_shedding;
-    default:
-      return 1.0;
-  }
-}
-
-double OverloadController::mem_scale() const {
-  switch (state()) {
-    case HealthState::kDegraded:
-      return options_.mem_scale_degraded;
-    case HealthState::kShedding:
-      return options_.mem_scale_shedding;
-    default:
-      return 1.0;
-  }
-}
-
-double OverloadController::io_scale() const {
-  switch (state()) {
-    case HealthState::kDegraded:
-      return options_.io_scale_degraded;
-    case HealthState::kShedding:
-      return options_.io_scale_shedding;
+      return kSheddingBudgetScale;
     default:
       return 1.0;
   }
 }
 
 double OverloadController::queue_scale() const {
-  return state() == HealthState::kShedding ? options_.queue_scale_shedding
-                                           : 1.0;
+  return state() == HealthState::kShedding ? kSheddingQueueScale : 1.0;
 }
 
 std::vector<OverloadTransition> OverloadController::transitions() const {
@@ -280,11 +212,8 @@ const char* BreakerStateName(BreakerState state) {
   return "unknown";
 }
 
-CircuitBreaker::CircuitBreaker(std::string domain,
-                               const CircuitBreakerOptions& options,
-                               const Observability& obs)
+CircuitBreaker::CircuitBreaker(std::string domain, const Observability& obs)
     : domain_(std::move(domain)),
-      options_(options),
       obs_(obs),
       epoch_(std::chrono::steady_clock::now()) {
   if (obs_.metrics != nullptr) {
@@ -310,7 +239,6 @@ void CircuitBreaker::TransitionLocked(BreakerState to) {
     ++times_opened_;
     if (m_opened_ != nullptr) m_opened_->Increment();
   }
-  if (to != BreakerState::kHalfOpen) half_open_successes_ = 0;
   EmitResilienceEvent(obs_,
                       StrFormat("overload.breaker.%s", domain_.c_str()), -1.0,
                       0,
@@ -321,14 +249,14 @@ void CircuitBreaker::TransitionLocked(BreakerState to) {
 Status CircuitBreaker::Allow() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == BreakerState::kOpen) {
-    if (NowSeconds() - opened_at_seconds_ >= options_.open_seconds) {
+    if (NowSeconds() - opened_at_seconds_ >= kOpenSeconds) {
       TransitionLocked(BreakerState::kHalfOpen);
     } else {
       ++fast_fails_;
       if (m_fast_fail_ != nullptr) m_fast_fail_->Increment();
       return Status::ResourceExhausted(StrFormat(
           "%s: %s breaker tripped after %d consecutive failures",
-          kBreakerPrefix, domain_.c_str(), options_.failure_threshold));
+          kBreakerPrefix, domain_.c_str(), kFailureThreshold));
     }
   }
   return Status::OK();
@@ -337,24 +265,22 @@ Status CircuitBreaker::Allow() {
 void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mutex_);
   consecutive_failures_ = 0;
-  if (state_ == BreakerState::kHalfOpen) {
-    if (++half_open_successes_ >= options_.half_open_successes)
-      TransitionLocked(BreakerState::kClosed);
-  }
+  if (state_ == BreakerState::kHalfOpen)
+    TransitionLocked(BreakerState::kClosed);
 }
 
-void CircuitBreaker::RecordFailure() {
+bool CircuitBreaker::RecordFailure() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++consecutive_failures_;
-  if (state_ == BreakerState::kHalfOpen) {
-    // The probe failed: the domain is still sick. Back to a full cooldown.
+  // A failed half-open probe means the domain is still sick: back to a
+  // full cooldown.
+  if (state_ == BreakerState::kHalfOpen ||
+      (state_ == BreakerState::kClosed &&
+       consecutive_failures_ >= kFailureThreshold)) {
     TransitionLocked(BreakerState::kOpen);
-    return;
+    return true;
   }
-  if (state_ == BreakerState::kClosed &&
-      consecutive_failures_ >= options_.failure_threshold) {
-    TransitionLocked(BreakerState::kOpen);
-  }
+  return false;
 }
 
 bool CircuitBreaker::IsBreakerOpen(const Status& status) {
@@ -393,8 +319,7 @@ std::string PoisonEntry::ToJson() const {
       static_cast<unsigned long long>(rejected));
 }
 
-PoisonLog::PoisonLog(int quarantine_failures, const Observability& obs)
-    : quarantine_failures_(quarantine_failures), obs_(obs) {
+PoisonLog::PoisonLog(const Observability& obs) : obs_(obs) {
   if (obs_.metrics != nullptr) {
     m_quarantined_ = obs_.metrics->counter("overload.poison.quarantined");
     m_rejected_ = obs_.metrics->counter("overload.poison.rejected");
@@ -404,7 +329,6 @@ PoisonLog::PoisonLog(int quarantine_failures, const Observability& obs)
 bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
                               const GrantSnapshot& grant, const Status& status,
                               int attempts, uint64_t seed) {
-  if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   PoisonEntry* entry = nullptr;
   for (PoisonEntry& e : entries_)
@@ -416,6 +340,7 @@ bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
     entries_.emplace_back();
     entry = &entries_.back();
     entry->query = sql;
+    size_.store(entries_.size(), std::memory_order_relaxed);
   }
   entry->session_id = session_id;
   ++entry->failures;
@@ -423,7 +348,7 @@ bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
   entry->last_status = status.ToString();
   entry->last_grant = grant;
   if (seed != 0) entry->seed = seed;
-  if (!entry->quarantined && entry->failures >= quarantine_failures_) {
+  if (!entry->quarantined && entry->failures >= kQuarantineFailures) {
     entry->quarantined = true;
     if (m_quarantined_ != nullptr) m_quarantined_->Increment();
     EmitResilienceEvent(obs_, "overload.poison_quarantine", -1.0, session_id,
@@ -434,8 +359,31 @@ bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
   return false;
 }
 
+void PoisonLog::RecordSuccess(const std::string& sql) {
+  if (size_.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->query != sql) continue;
+    if (!it->quarantined) {
+      entries_.erase(it);
+      size_.store(entries_.size(), std::memory_order_relaxed);
+    }
+    return;
+  }
+}
+
+void PoisonLog::ClearStreaks() {
+  if (size_.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
+                                [](const PoisonEntry& e) {
+                                  return !e.quarantined;
+                                }),
+                 entries_.end());
+  size_.store(entries_.size(), std::memory_order_relaxed);
+}
+
 bool PoisonLog::IsQuarantined(const std::string& sql) const {
-  if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const PoisonEntry& e : entries_)
     if (e.quarantined && e.query == sql) return true;
@@ -443,15 +391,14 @@ bool PoisonLog::IsQuarantined(const std::string& sql) const {
 }
 
 Status PoisonLog::RejectIfQuarantined(const std::string& sql) {
-  if (!enabled()) return Status::OK();
   std::lock_guard<std::mutex> lock(mutex_);
   for (PoisonEntry& e : entries_) {
     if (!e.quarantined || e.query != sql) continue;
     ++e.rejected;
     if (m_rejected_ != nullptr) m_rejected_->Increment();
     return Status::FailedPrecondition(
-        StrFormat("%s: statement failed %d times and is quarantined "
-                  "(last: %s)",
+        StrFormat("%s: statement failed %d times in a row and is "
+                  "quarantined (last: %s)",
                   kPoisonPrefix, e.failures, e.last_status.c_str()));
   }
   return Status::OK();
@@ -465,11 +412,6 @@ bool PoisonLog::IsPoisonReject(const Status& status) {
 std::vector<PoisonEntry> PoisonLog::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_;
-}
-
-size_t PoisonLog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 size_t PoisonLog::quarantined_count() const {

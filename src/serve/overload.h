@@ -8,16 +8,15 @@
 // classic serving defenses on top of the scheduler's static budgets:
 //
 //   OverloadController  an explicit health state machine
-//                       (healthy -> degraded -> shedding) driven by
-//                       rolling windows of fault rate and latency plus
-//                       instantaneous queue depth / memory / buffer-pool
-//                       pressure. Escalation is immediate; recovery is
-//                       monotone and deliberate (a minimum dwell time and
-//                       N consecutive clean evaluations per step down).
-//                       While unhealthy the controller shrinks the
-//                       scheduler's effective cpu/io/memory/queue budgets
-//                       and, in shedding, fast-rejects low-priority work
-//                       at admission.
+//                       (healthy -> degraded -> shedding) driven by a
+//                       rolling window of fault rate plus instantaneous
+//                       queue depth / memory / buffer-pool pressure.
+//                       Escalation is immediate; recovery is monotone and
+//                       deliberate (a minimum dwell time and N consecutive
+//                       clean evaluations per step down). While unhealthy
+//                       the controller shrinks the scheduler's effective
+//                       cpu/io/memory/queue budgets and, in shedding,
+//                       fast-rejects low-priority work at admission.
 //
 //   CircuitBreaker      per fault domain (storage reads, spill io).
 //                       Consecutive failures open the breaker; while open
@@ -26,11 +25,12 @@
 //                       decides between closing and re-opening.
 //
 //   PoisonLog           SlowQueryLog-style quarantine record. A statement
-//                       that keeps failing across whole-query retries is
-//                       recorded (sql, session, grant, seed, status) and
-//                       never re-admitted: re-submissions are rejected
-//                       synchronously without touching the planner or an
-//                       operator, so one bad plan cannot starve the fleet.
+//                       that fails, after whole-query retries, on several
+//                       consecutive submissions is recorded (sql, session,
+//                       grant, seed, status) and never re-admitted:
+//                       re-submissions are rejected synchronously without
+//                       touching the planner or an operator, so one bad
+//                       plan cannot starve the fleet.
 //
 // All three are thread-safe and publish `overload.*` metrics plus
 // state-transition trace events through the shared Observability.
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -59,56 +58,6 @@ namespace xprs {
 enum class HealthState { kHealthy = 0, kDegraded = 1, kShedding = 2 };
 
 const char* HealthStateName(HealthState state);
-
-struct OverloadOptions {
-  /// Master switch; when false every hook is a no-op and the scheduler
-  /// behaves exactly as before this controller existed.
-  bool enabled = true;
-
-  /// Rolling window of completion outcomes/latencies the fault-rate and
-  /// p95 signals are computed over.
-  size_t window = 64;
-  /// Minimum outcomes in the window before fault/latency signals count.
-  size_t min_samples = 16;
-
-  // Signal thresholds. A signal at or above its shedding threshold forces
-  // kShedding; at or above its degraded threshold, kDegraded. Thresholds
-  // set to 0 (latency) disable that signal.
-  double degraded_fault_rate = 0.25;
-  double shedding_fault_rate = 0.50;
-  /// Queue depth as a fraction of max_queue_depth.
-  double degraded_queue_frac = 0.80;
-  double shedding_queue_frac = 0.95;
-  /// Scheduler memory budget in use / buffer-pool pinned fraction
-  /// (whichever is higher; the pool probe is optional).
-  double degraded_mem_frac = 0.92;
-  double shedding_mem_frac = 0.99;
-  /// p95 of submit-to-resolve latency, seconds. 0 disables.
-  double degraded_p95_seconds = 0.0;
-  double shedding_p95_seconds = 0.0;
-
-  /// Admission floors: while shedding (resp. degraded), submissions with
-  /// priority below the floor are rejected synchronously. The defaults
-  /// shed everything at default priority (0) while unhealthy work of
-  /// priority >= 1 still gets through.
-  int shed_priority_floor = 1;
-  int degraded_priority_floor = std::numeric_limits<int>::min();
-
-  // Effective-budget scale factors applied by the scheduler per state.
-  double cpu_scale_degraded = 0.75;
-  double cpu_scale_shedding = 0.50;
-  double mem_scale_degraded = 0.75;
-  double mem_scale_shedding = 0.50;
-  double io_scale_degraded = 0.75;
-  double io_scale_shedding = 0.50;
-  double queue_scale_shedding = 0.50;
-
-  /// Recovery is monotone: a state must hold for min_dwell_seconds AND see
-  /// recovery_clean_evals consecutive evaluations below its own entry
-  /// thresholds before stepping down one level.
-  double min_dwell_seconds = 0.10;
-  int recovery_clean_evals = 8;
-};
 
 /// Instantaneous pressure the scheduler reports at each evaluation.
 struct OverloadSignals {
@@ -130,7 +79,26 @@ class OverloadController {
   /// Message prefix of every admission-shed status (IsOverloadShed).
   static const char* kShedPrefix;
 
-  OverloadController(const OverloadOptions& options, const Observability& obs);
+  // Thresholds. bench_soak tuned the first four so its storm shows every
+  // transition within seconds; no other caller ever leaves healthy.
+  static constexpr size_t kWindow = 32;     // outcomes the fault rate spans
+  static constexpr size_t kMinSamples = 8;  // outcomes before it counts
+  // Recovery steps down one level once the state held kMinDwellSeconds
+  // and kRecoveryCleanEvals evaluations in a row were below its bar.
+  static constexpr double kMinDwellSeconds = 0.05;
+  static constexpr int kRecoveryCleanEvals = 4;
+  // Degraded and shedding bars. Queue: fraction of max_queue_depth;
+  // memory: budget in use, or the pool's pinned fraction if higher.
+  static constexpr double kDegradedFaultRate = 0.25, kSheddingFaultRate = 0.5;
+  static constexpr double kDegradedQueueFrac = 0.80, kSheddingQueueFrac = 0.95;
+  static constexpr double kDegradedMemFrac = 0.92, kSheddingMemFrac = 0.99;
+  // Shedding rejects priorities below the floor (default-priority work);
+  // degraded rejects none. Budget scales apply to cpu, io and memory.
+  static constexpr int kShedPriorityFloor = 1;
+  static constexpr double kDegradedBudgetScale = 0.75;
+  static constexpr double kSheddingBudgetScale = 0.5, kSheddingQueueScale = 0.5;
+
+  explicit OverloadController(const Observability& obs);
 
   OverloadController(const OverloadController&) = delete;
   OverloadController& operator=(const OverloadController&) = delete;
@@ -141,10 +109,10 @@ class OverloadController {
   void SetMemoryProbe(std::function<double()> probe);
 
   /// Records one completed query: whether it failed (cancellations are the
-  /// caller's business to exclude) and its submit-to-resolve latency.
-  void RecordOutcome(bool failure, double latency_seconds);
+  /// caller's business to exclude).
+  void RecordOutcome(bool failure);
 
-  /// Re-evaluates the state machine against the rolling windows plus the
+  /// Re-evaluates the state machine against the rolling window plus the
   /// instantaneous signals. Cheap; called at every submit and completion.
   void Evaluate(const OverloadSignals& signals);
 
@@ -165,13 +133,11 @@ class OverloadController {
     return static_cast<HealthState>(state_.load(std::memory_order_acquire));
   }
 
-  // Effective-budget scales for the current state (1.0 while healthy).
-  double cpu_scale() const;
-  double mem_scale() const;
-  double io_scale() const;
+  // Effective-budget scales for the current state (1.0 while healthy):
+  // one for the cpu, io and memory budgets, one for the queue.
+  double budget_scale() const;
   double queue_scale() const;
 
-  const OverloadOptions& options() const { return options_; }
   std::vector<OverloadTransition> transitions() const;
   /// True iff the controller ever reached `state`.
   bool reached(HealthState state) const;
@@ -184,14 +150,12 @@ class OverloadController {
   void TransitionLocked(HealthState to, const std::string& reason);
   double NowSeconds() const;
 
-  const OverloadOptions options_;
   Observability obs_;
 
   mutable std::mutex mutex_;
   std::function<double()> memory_probe_;
   std::deque<bool> outcomes_;       // true = failure
   size_t window_failures_ = 0;
-  std::deque<double> latencies_;    // seconds, same window
   double last_transition_seconds_ = 0.0;
   int clean_evals_ = 0;
   std::vector<OverloadTransition> transitions_;
@@ -213,20 +177,16 @@ enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateName(BreakerState state);
 
-struct CircuitBreakerOptions {
-  /// Consecutive domain failures that trip the breaker open.
-  int failure_threshold = 5;
-  /// Cooldown before an open breaker lets a half-open probe through.
-  double open_seconds = 0.10;
-  /// Consecutive probe successes that close a half-open breaker.
-  int half_open_successes = 1;
-};
-
 /// One fault domain's breaker (storage reads, spill io). Thread-safe.
 class CircuitBreaker {
  public:
-  CircuitBreaker(std::string domain, const CircuitBreakerOptions& options,
-                 const Observability& obs);
+  /// Consecutive domain failures that trip the breaker open.
+  static constexpr int kFailureThreshold = 5;
+  /// Cooldown before a half-open probe goes through (bench_soak's value).
+  /// The probe's success closes the breaker; its failure re-opens it.
+  static constexpr double kOpenSeconds = 0.05;
+
+  CircuitBreaker(std::string domain, const Observability& obs);
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -237,7 +197,8 @@ class CircuitBreaker {
   Status Allow();
 
   void RecordSuccess();
-  void RecordFailure();
+  /// Returns true when this failure opened the breaker.
+  bool RecordFailure();
 
   /// True iff `status` is a breaker fast-fail. Fast-fails carry
   /// kResourceExhausted (nominally retryable) — retry ladders must check
@@ -254,13 +215,11 @@ class CircuitBreaker {
   double NowSeconds() const;
 
   const std::string domain_;
-  const CircuitBreakerOptions options_;
   Observability obs_;
 
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   double opened_at_seconds_ = 0.0;
   uint64_t fast_fails_ = 0;
   uint64_t times_opened_ = 0;
@@ -277,7 +236,7 @@ class CircuitBreaker {
 struct PoisonEntry {
   std::string query;       ///< submitted SQL
   int64_t session_id = 0;  ///< session of the last failing submission
-  int failures = 0;        ///< whole-statement failures across submissions
+  int failures = 0;        ///< consecutive terminal failures
   int attempts = 0;        ///< execution attempts including retries
   std::string last_status;
   GrantSnapshot last_grant;
@@ -293,23 +252,31 @@ struct PoisonEntry {
 /// Thread-safe.
 class PoisonLog {
  public:
-  /// Statements that fail `quarantine_failures` times (terminal failures,
-  /// after the per-query retry ladder) are quarantined. <= 0 disables
-  /// recording and quarantining entirely.
-  explicit PoisonLog(int quarantine_failures = 3,
-                     const Observability& obs = Observability());
+  /// Terminal failures in a row (after the per-query retry ladder) that
+  /// quarantine a statement (bench_soak's value). A success of the
+  /// statement, or ClearStreaks, starts its count again.
+  static constexpr int kQuarantineFailures = 4;
+
+  explicit PoisonLog(const Observability& obs = Observability());
 
   PoisonLog(const PoisonLog&) = delete;
   PoisonLog& operator=(const PoisonLog&) = delete;
-
-  bool enabled() const { return quarantine_failures_ > 0; }
-  int quarantine_failures() const { return quarantine_failures_; }
 
   /// Records one terminal failure of `sql`. Returns true when this failure
   /// crossed the threshold and quarantined the statement.
   bool RecordFailure(const std::string& sql, int64_t session_id,
                      const GrantSnapshot& grant, const Status& status,
                      int attempts, uint64_t seed = 0);
+
+  /// Records a success of `sql`: its failure count, if any, is dropped
+  /// unless it is already quarantined. While the log is empty this is one
+  /// relaxed load.
+  void RecordSuccess(const std::string& sql);
+
+  /// Drops every failure count short of quarantine. Called when a fault
+  /// domain's breaker opens: the domain itself is failing, so the failures
+  /// counted so far say nothing about the statements.
+  void ClearStreaks();
 
   bool IsQuarantined(const std::string& sql) const;
 
@@ -322,17 +289,18 @@ class PoisonLog {
   static bool IsPoisonReject(const Status& status);
 
   std::vector<PoisonEntry> entries() const;
-  size_t size() const;
+  size_t size() const { return size_.load(std::memory_order_relaxed); }
   size_t quarantined_count() const;
   /// All entries, one JSON object per line (a JSONL log).
   std::string DumpJsonLines() const;
 
  private:
-  const int quarantine_failures_;
   Observability obs_;
 
   mutable std::mutex mutex_;
   std::vector<PoisonEntry> entries_;  // few entries expected: linear scan
+  /// entries_.size(), readable without the mutex.
+  std::atomic<size_t> size_{0};
 
   Counter* m_quarantined_ = nullptr;
   Counter* m_rejected_ = nullptr;

@@ -53,7 +53,7 @@ int64_t ServeTicket::query_id() const {
 QueryScheduler::QueryScheduler(const ServeOptions& options)
     : options_(options),
       io_budget_(options.machine.nominal_bandwidth()),
-      overload_(options.overload, options.obs),
+      overload_(options.obs),
       paused_(options.start_paused) {
   ResolveMetrics();
   int workers = std::max(1, options_.max_concurrent);
@@ -289,11 +289,7 @@ void QueryScheduler::CompleteLocked(std::unique_ptr<Entry> entry,
   if (!shutdown_) {
     StatusCode code = result.ok() ? StatusCode::kOk : result.status().code();
     if (code != StatusCode::kCancelled) {
-      const double total_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        entry->enqueued)
-              .count();
-      overload_.RecordOutcome(!result.ok(), total_seconds);
+      overload_.RecordOutcome(!result.ok());
       overload_.Evaluate(SignalsLocked());
     }
   }
@@ -420,8 +416,8 @@ int QueryScheduler::PickNextLocked(ExecGrant* grant) {
 
   // The overload controller shrinks the effective budgets while unhealthy.
   const double mem_budget =
-      options_.memory_pages_budget * overload_.mem_scale();
-  const double io_budget = io_budget_ * overload_.io_scale();
+      options_.memory_pages_budget * overload_.budget_scale();
+  const double io_budget = io_budget_ * overload_.budget_scale();
 
   for (size_t idx : order) {
     Entry& entry = *queue_[idx];
@@ -441,7 +437,7 @@ int QueryScheduler::PickNextLocked(ExecGrant* grant) {
           continue;  // wait a beat for pages to free up
         } else if (std::chrono::duration<double>(now -
                                                  entry.mem_blocked_since)
-                       .count() >= options_.degrade_wait_seconds) {
+                       .count() >= kDegradeWaitSeconds) {
           // The wait expired. Emergency reclaim first: a strictly
           // higher-priority waiter may evict the lowest-priority running
           // query instead of degrading itself to the spill path.
@@ -503,7 +499,7 @@ bool QueryScheduler::TryPreemptLocked(const Entry& cand) {
   if (victim == nullptr) return false;
 
   const double mem_budget =
-      options_.memory_pages_budget * overload_.mem_scale();
+      options_.memory_pages_budget * overload_.budget_scale();
   double remaining = mem_budget - mem_in_use_;
   // Only evict when the reclaim actually lets the candidate fit.
   if (cand.request.estimate.memory_pages > remaining + victim->memory_pages)
@@ -538,7 +534,7 @@ void QueryScheduler::DispatcherLoop() {
     // concurrency so the machine drains instead of thrashing.
     const int effective_concurrent = std::max(
         1, static_cast<int>(std::lround(options_.max_concurrent *
-                                        overload_.cpu_scale())));
+                                        overload_.budget_scale())));
     while (!paused_ && !queue_.empty() &&
            running_.size() + handoff_.size() <
                static_cast<size_t>(effective_concurrent)) {
@@ -609,7 +605,7 @@ void QueryScheduler::DispatcherLoop() {
       }
       if (e->mem_blocked) {
         int64_t dn = SteadyNs(e->mem_blocked_since) +
-                     static_cast<int64_t>(options_.degrade_wait_seconds * 1e9);
+                     static_cast<int64_t>(kDegradeWaitSeconds * 1e9);
         if (wake_ns < 0 || dn < wake_ns) wake_ns = dn;
       }
     }

@@ -17,10 +17,10 @@
 //                An io-bound candidate is held back while the disks are
 //                saturated rather than admitted to thrash them.
 //   memory       sum of working-set pages <= the configured budget. A
-//                query that does not fit waits briefly, then is degraded:
-//                admitted serial with spill-to-disk operators so its
-//                footprint collapses to the spill bound instead of the
-//                full hash/sort working set.
+//                query that does not fit waits kDegradeWaitSeconds, then
+//                is degraded: admitted serial with spill-to-disk
+//                operators so its footprint collapses to the spill bound
+//                instead of the full hash/sort working set.
 //
 // Load shedding is explicit: a full queue rejects new work synchronously
 // with a distinct ResourceExhausted status (IsAdmissionReject) and a
@@ -163,16 +163,9 @@ struct ServeOptions {
   /// Global working-memory budget in 8 KB pages. 0 = unlimited. The
   /// aggregate io-rate budget is always the machine's nominal bandwidth.
   double memory_pages_budget = 0.0;
-  /// How long a memory-blocked query waits for pages to free up before
-  /// it is degraded to the serial spill path.
-  double degrade_wait_seconds = 0.05;
   /// Start with dispatch paused; queries queue until Resume(). Tests use
   /// this to fill the queue deterministically.
   bool start_paused = false;
-  /// Overload-control knobs (see serve/overload.h). While the controller
-  /// is degraded/shedding the effective cpu/io/memory/queue budgets shrink
-  /// by its scale factors and low-priority submissions are shed.
-  OverloadOptions overload;
   Observability obs;
 };
 
@@ -214,6 +207,9 @@ class QueryScheduler {
   /// stays bounded.
   std::vector<int64_t> dispatch_order() const;
   static constexpr size_t kDispatchLogSize = 1024;
+  /// How long a memory-blocked query waits for pages before it preempts a
+  /// lower-priority query or is degraded to the serial spill path.
+  static constexpr double kDegradeWaitSeconds = 0.05;
   /// The health state machine driving admission under overload.
   OverloadController& overload() { return overload_; }
   const OverloadController& overload() const { return overload_; }
@@ -259,7 +255,7 @@ class QueryScheduler {
   /// queue index or -1; fills *grant.
   int PickNextLocked(ExecGrant* grant);
   /// Emergency memory reclaim, always on: once `cand` has waited past
-  /// degrade_wait_seconds for pages, asks the lowest-priority running
+  /// kDegradeWaitSeconds for pages, asks the lowest-priority running
   /// query (strictly below `cand`'s priority) to unwind (cancel + requeue)
   /// so `cand` can fit instead of degrading. Returns true when a victim
   /// was preempted.

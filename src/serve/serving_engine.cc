@@ -3,7 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "resilience/retry.h"
+
 namespace xprs {
+
+namespace {
+
+// Backoff for buffer-pool backpressure retries.
+constexpr RetryPolicy kFetchRetry{};
+// In-memory tuple bound for degraded (spilling) queries.
+constexpr size_t kDegradeSpillTuples = 64;
+// Whole-statement retries: 3 attempts, backoff 1 ms doubling to an 8 ms cap.
+constexpr RetryPolicy kQueryRetry{.max_backoff_ms = 8};
+
+}  // namespace
 
 // --- ServingSession --------------------------------------------------------
 
@@ -50,16 +63,14 @@ ServingEngine::ServingEngine(Catalog* catalog, const MachineConfig& machine,
     : options_(std::move(options)),
       engine_(catalog, machine, model),
       spill_array_(machine.num_disks, DiskMode::kInstant),
-      slow_log_(options_.slow_query_seconds, options_.slow_query_top_k),
-      poison_log_(options_.poison_failures, options_.serve.obs),
-      read_breaker_("storage_read", options_.breaker, options_.serve.obs),
-      spill_breaker_("spill_io", options_.breaker, options_.serve.obs),
+      slow_log_(options_.slow_query_seconds),
+      poison_log_(options_.serve.obs),
+      read_breaker_("storage_read", options_.serve.obs),
+      spill_breaker_("spill_io", options_.serve.obs),
       scheduler_(options_.serve) {
   if (options_.buffer_pool_frames > 0) {
     pool_ = std::make_unique<BufferPool>(catalog->disk_array(),
                                          options_.buffer_pool_frames);
-    if (options_.soft_pin_frames > 0)
-      pool_->SetSoftPinLimit(options_.soft_pin_frames);
     // Buffer-pool pressure feeds the overload controller next to the
     // scheduler's own page accounting.
     scheduler_.overload().SetMemoryProbe([pool = pool_.get()] {
@@ -128,11 +139,10 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     return poison;
   }
 
-  // Parse, bind and optimize once, synchronously, so malformed SQL fails
-  // here, not on a worker thread; the estimate drives admission and the
-  // job runs this same plan.
-  StatusOr<PreparedStatement> prepared =
-      engine_.Prepare(sql, options.shape);
+  // Parse, bind and optimize once (bushy), synchronously, so malformed SQL
+  // fails here, not on a worker thread; the estimate drives admission and
+  // the job runs this same plan.
+  StatusOr<PreparedStatement> prepared = engine_.Prepare(sql);
   if (!prepared.ok()) {
     if (lifecycle != nullptr) lifecycle->OnRejected(prepared.status());
     return prepared.status();
@@ -171,8 +181,8 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
   // With the slow-query log armed, every statement runs profiled so an
   // entry can name the operators the time went to.
   request.job = [this, sql, statement = std::move(*prepared), token,
-                 lifecycle, allow_parallel = options.allow_parallel,
-                 replay_seed = options.replay_seed, session_id = session->id()](
+                 lifecycle, replay_seed = options.replay_seed,
+                 session_id = session->id()](
                     const ExecGrant& grant) -> StatusOr<SqlResult> {
     RunOptions run;
     run.ctx.vectorized = true;
@@ -180,13 +190,13 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     run.ctx.obs = options_.serve.obs;
     if (pool_ != nullptr) {
       run.ctx.pool = pool_.get();
-      run.ctx.fetch_retry = &options_.fetch_retry;
+      run.ctx.fetch_retry = &kFetchRetry;
     }
     if (grant.degrade_to_spill) {
       run.ctx.spill.temp_array = &spill_array_;
-      run.ctx.spill.memory_tuples = options_.degrade_spill_tuples;
-    } else if (grant.parallelism > 1 && allow_parallel) {
-      run.master = options_.master;
+      run.ctx.spill.memory_tuples = kDegradeSpillTuples;
+    } else if (grant.parallelism > 1) {
+      run.master.emplace();
       run.master->max_slots = grant.parallelism;
       run.master->obs = options_.serve.obs;
     }
@@ -195,7 +205,8 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     // Whole-statement retry ladder above the per-fragment one. The breaker
     // for the query's fault domain is consulted before every attempt: an
     // open breaker fast-fails the statement instead of hammering the disk,
-    // and that fast-fail is never retried or poisoned.
+    // and that fast-fail is never retried and never counts toward
+    // quarantine.
     CircuitBreaker& breaker =
         grant.degrade_to_spill ? spill_breaker_ : read_breaker_;
     Rng jitter(options_.retry_jitter_seed ^
@@ -215,16 +226,19 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
         break;
       }
       const Status& st = result.status();
-      if (st.code() == StatusCode::kIoError) breaker.RecordFailure();
+      // An opening breaker means the domain is failing, not the
+      // statements: no failure so far counts toward quarantine.
+      if (st.code() == StatusCode::kIoError && breaker.RecordFailure())
+        poison_log_.ClearStreaks();
       if (!IsRetryableStatus(st) ||
-          attempt >= options_.query_retry.max_attempts ||
+          attempt >= kQueryRetry.max_attempts ||
           (token != nullptr && token->cancelled()))
         break;
       EmitResilienceEvent(options_.serve.obs, "serve.query_retry", -1.0,
                           grant.query_id,
                           {{"attempt", attempt}, {"status", st.ToString()}});
       Status slept = BackoffSleepMs(
-          JitteredBackoffMs(options_.query_retry, attempt, &jitter),
+          JitteredBackoffMs(kQueryRetry, attempt, &jitter),
           token.get());
       if (!slept.ok()) {
         result = slept;
@@ -232,7 +246,9 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
       }
     }
 
-    if (!result.ok()) {
+    if (result.ok()) {
+      poison_log_.RecordSuccess(sql);
+    } else {
       // Terminal failure: record toward quarantine unless the failure was
       // the user's (cancel/deadline) or shed work (open breaker) — those
       // say nothing about the statement itself.

@@ -4,13 +4,12 @@
 // engine runs a workload: clients open sessions, submit SQL concurrently,
 // and every statement flows through the QueryScheduler's admission control
 // before it touches an operator. The engine owns the shared machinery one
-// server process would own once — the buffer pool (with a soft pin limit
-// so concurrent queries backpressure instead of deadlocking on frames),
-// the spill disk for degraded queries, and the scheduler's worker pool —
-// and hands each admitted query an ExecContext assembled from its grant:
-// serial execution at parallelism 1, the parallel master at higher
-// degrees, spilling operators when the scheduler degraded the query to
-// fit the memory budget.
+// server process would own once — the buffer pool, the spill disk for
+// degraded queries, and the scheduler's worker pool — and hands each
+// admitted query an ExecContext assembled from its grant: serial
+// execution at parallelism 1, the parallel master at higher degrees,
+// spilling operators when the scheduler degraded the query to fit the
+// memory budget.
 //
 // Sessions are cheap handles: they carry fair-share weight and priority,
 // track their in-flight queries, and can cancel them in one call. Each
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "resilience/retry.h"
 #include "serve/overload.h"
 #include "serve/query_scheduler.h"
 #include "sql/engine.h"
@@ -46,10 +44,6 @@ struct QueryOptions {
   /// queued too: a deadline that fires before admission rejects the query
   /// without running it.
   int64_t deadline_ms = 0;
-  /// Allow the scheduler to run the statement through the parallel master
-  /// when it grants parallelism > 1.
-  bool allow_parallel = true;
-  TreeShape shape = TreeShape::kBushy;
   /// Caller-provided replay seed recorded on poison-log entries when the
   /// statement ends up quarantined (0 = none). Workload drivers pass their
   /// generator seed so a poisoned query is reproducible offline.
@@ -130,38 +124,15 @@ class ServingEngine {
     ServeOptions serve;
     /// Shared buffer pool size; 0 = execute without a pool.
     size_t buffer_pool_frames = 0;
-    /// Soft pin limit on the pool (0 = unlimited): queries past it see
-    /// retryable ResourceExhausted and back off via fetch_retry.
-    size_t soft_pin_frames = 0;
-    /// Backoff for buffer-pool backpressure retries.
-    RetryPolicy fetch_retry;
-    /// In-memory tuple bound for degraded (spilling) queries.
-    size_t degrade_spill_tuples = 64;
-    /// Template for parallel-master runs; ctx / max_slots / obs are
-    /// overridden per grant.
-    MasterOptions master;
     /// Slow-query threshold (submit to resolve, seconds). When > 0 every
     /// statement runs with a profile attached and queries over the
     /// threshold land in slow_query_log() with their grant, phase
     /// breakdown and slowest operators. 0 disables the log (and the
     /// profiling overhead).
     double slow_query_seconds = 0.0;
-    /// How many operators a slow-query entry names.
-    size_t slow_query_top_k = 3;
-    /// Whole-statement retry ladder above the per-fragment one: transient
-    /// (IoError / ResourceExhausted) failures of the entire query re-run
-    /// it on the worker with exponential backoff + jitter before the
-    /// failure surfaces or poisons the statement.
-    RetryPolicy query_retry;
     /// Seed mixed with the query id for the retry jitter, so backoffs are
     /// decorrelated across queries yet reproducible per run.
     uint64_t retry_jitter_seed = 0x9E3779B97F4A7C15ULL;
-    /// Terminal whole-statement failures (across submissions) after which
-    /// a statement is quarantined and re-submissions fast-reject without
-    /// planning or execution. <= 0 disables the poison log.
-    int poison_failures = 3;
-    /// Per-fault-domain circuit breakers (storage reads, spill io).
-    CircuitBreakerOptions breaker;
   };
 
   ServingEngine(Catalog* catalog, const MachineConfig& machine,

@@ -149,13 +149,13 @@ TEST_F(FaultTest, MasterRunReturnsError) {
     array_->FailNextReads(0);
   }
 
-  // A persistent fault exhausts the ladder (retries disabled down to one
-  // attempt per rung, no serial fallback) and surfaces as a Status.
+  // A persistent fault exhausts the ladder (one attempt per rung) and the
+  // serial pass at its floor meets the same fault, so it surfaces as a
+  // Status.
   {
     MasterOptions strict = options;
     strict.retry.max_attempts = 1;
     strict.retry.initial_backoff_ms = 0;
-    strict.serial_fallback = false;
     ParallelMaster master(MachineConfig::PaperConfig(), &model, strict);
     array_->FailNextReads(1000000);
     auto result = master.Run({{plan.get(), 1}});

@@ -155,7 +155,6 @@ TEST(LifecycleTest, SlowQueryLogNamesGrantAndTopOperators) {
   options.serve.max_concurrent = 2;
   // Threshold 0s+: every query is "slow", so the log fills determinately.
   options.slow_query_seconds = 1e-9;
-  options.slow_query_top_k = 2;
   ServingEngine engine(catalog.get(), MachineConfig::PaperConfig(), &model,
                        std::move(options));
 
@@ -178,11 +177,13 @@ TEST(LifecycleTest, SlowQueryLogNamesGrantAndTopOperators) {
   EXPECT_FALSE(entry.grant.degraded);
   // Top-k operators from the attached profile, ordered slowest first.
   ASSERT_FALSE(entry.top_operators.empty());
-  ASSERT_LE(entry.top_operators.size(), 2u);
-  for (const SlowQueryOperator& op : entry.top_operators)
-    EXPECT_FALSE(op.label.empty());
-  if (entry.top_operators.size() == 2u) {
-    EXPECT_GE(entry.top_operators[0].seconds, entry.top_operators[1].seconds);
+  ASSERT_LE(entry.top_operators.size(), SlowQueryLog::kTopK);
+  for (size_t i = 0; i < entry.top_operators.size(); ++i) {
+    EXPECT_FALSE(entry.top_operators[i].label.empty());
+    if (i > 0) {
+      EXPECT_GE(entry.top_operators[i - 1].seconds,
+                entry.top_operators[i].seconds);
+    }
   }
 
   // The JSONL rendering names the grant and the operators too.
@@ -318,7 +319,6 @@ TEST(LifecycleTest, DegradedGrantIsRecordedInSlowLog) {
   // A page budget below any hash join's working set forces the degrade
   // path immediately (never fits even on an idle system).
   options.serve.memory_pages_budget = 1e-3;
-  options.serve.degrade_wait_seconds = 0.0;
   options.slow_query_seconds = 1e-9;
   ServingEngine engine(catalog.get(), MachineConfig::PaperConfig(), &model,
                        std::move(options));

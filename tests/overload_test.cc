@@ -26,15 +26,9 @@ void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-// Small windows and short dwells so transitions are observable in a test.
-OverloadOptions FastOptions() {
-  OverloadOptions options;
-  options.window = 8;
-  options.min_samples = 4;
-  options.min_dwell_seconds = 0.01;
-  options.recovery_clean_evals = 2;
-  return options;
-}
+// The controller, breaker and poison-log thresholds are constants; each
+// case drives them by name.
+using Controller = OverloadController;
 
 // ------------------------------------------------------ OverloadController
 
@@ -42,29 +36,30 @@ TEST(OverloadControllerTest, FaultRateEscalatesToShedding) {
   MetricsRegistry metrics;
   Observability obs;
   obs.metrics = &metrics;
-  OverloadController controller(FastOptions(), obs);
+  OverloadController controller(obs);
   ASSERT_EQ(controller.state(), HealthState::kHealthy);
 
-  // Below min_samples nothing fires, even at 100% failures.
-  for (int i = 0; i < 3; ++i) controller.RecordOutcome(true, 0.01);
+  // Below kMinSamples nothing fires, even at 100% failures.
+  for (size_t i = 0; i + 1 < Controller::kMinSamples; ++i)
+    controller.RecordOutcome(true);
   controller.Evaluate(OverloadSignals{});
   EXPECT_EQ(controller.state(), HealthState::kHealthy);
 
-  // Crossing min_samples with every outcome failed => fault rate 1.0,
+  // Crossing kMinSamples with every outcome failed => fault rate 1.0,
   // escalation to shedding is immediate (no dwell on the way up).
-  controller.RecordOutcome(true, 0.01);
+  controller.RecordOutcome(true);
   controller.Evaluate(OverloadSignals{});
   EXPECT_EQ(controller.state(), HealthState::kShedding);
   EXPECT_TRUE(controller.reached(HealthState::kShedding));
 
   // Shedding rejects default-priority work but admits priority >= floor.
-  Status shed = controller.AdmissionCheck(0);
+  Status shed = controller.AdmissionCheck(Controller::kShedPriorityFloor - 1);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(OverloadController::IsOverloadShed(shed));
   EXPECT_FALSE(OverloadController::IsOverloadShed(
       Status::ResourceExhausted("all frames pinned")));
-  EXPECT_TRUE(controller.AdmissionCheck(1).ok());
+  EXPECT_TRUE(controller.AdmissionCheck(Controller::kShedPriorityFloor).ok());
   EXPECT_EQ(controller.sheds(), 1u);
   EXPECT_EQ(metrics.counter("overload.shed")->value(), 1u);
   EXPECT_EQ(metrics.gauge("overload.state")->value(),
@@ -73,49 +68,58 @@ TEST(OverloadControllerTest, FaultRateEscalatesToShedding) {
 
 TEST(OverloadControllerTest, QueueAndMemorySignalsEscalate) {
   Observability obs;
-  OverloadOptions options = FastOptions();
-  OverloadController controller(options, obs);
+  OverloadController controller(obs);
 
   OverloadSignals signals;
-  signals.queue_frac = 0.85;  // >= degraded_queue_frac, < shedding
+  signals.queue_frac = Controller::kDegradedQueueFrac;  // < shedding's
   controller.Evaluate(signals);
   EXPECT_EQ(controller.state(), HealthState::kDegraded);
-  EXPECT_DOUBLE_EQ(controller.cpu_scale(), options.cpu_scale_degraded);
-  EXPECT_DOUBLE_EQ(controller.mem_scale(), options.mem_scale_degraded);
-  EXPECT_DOUBLE_EQ(controller.io_scale(), options.io_scale_degraded);
+  EXPECT_DOUBLE_EQ(controller.budget_scale(), Controller::kDegradedBudgetScale);
   EXPECT_DOUBLE_EQ(controller.queue_scale(), 1.0);  // only shrinks shedding
+  // Degraded sheds no priority; only shedding does.
+  EXPECT_TRUE(controller.AdmissionCheck(-100).ok());
+  EXPECT_EQ(controller.sheds(), 0u);
 
-  signals.queue_frac = 1.0;
+  signals.queue_frac = Controller::kSheddingQueueFrac;
   controller.Evaluate(signals);
   EXPECT_EQ(controller.state(), HealthState::kShedding);
-  EXPECT_DOUBLE_EQ(controller.cpu_scale(), options.cpu_scale_shedding);
-  EXPECT_DOUBLE_EQ(controller.queue_scale(), options.queue_scale_shedding);
+  EXPECT_DOUBLE_EQ(controller.budget_scale(), Controller::kSheddingBudgetScale);
+  EXPECT_DOUBLE_EQ(controller.queue_scale(), Controller::kSheddingQueueScale);
+
+  // The scheduler's mem_frac alone escalates too.
+  OverloadController squeezed(obs);
+  signals = OverloadSignals{};
+  signals.mem_frac = Controller::kDegradedMemFrac;
+  squeezed.Evaluate(signals);
+  EXPECT_EQ(squeezed.state(), HealthState::kDegraded);
 
   // The buffer-pool probe is max-ed with the scheduler's own mem_frac.
-  OverloadController probed(FastOptions(), obs);
-  probed.SetMemoryProbe([] { return 1.0; });
+  OverloadController probed(obs);
+  probed.SetMemoryProbe([] { return Controller::kSheddingMemFrac; });
   probed.Evaluate(OverloadSignals{});
   EXPECT_EQ(probed.state(), HealthState::kShedding);
 }
 
 TEST(OverloadControllerTest, RecoveryIsMonotoneAndDwellGated) {
   Observability obs;
-  OverloadController controller(FastOptions(), obs);
+  OverloadController controller(obs);
 
-  for (int i = 0; i < 8; ++i) controller.RecordOutcome(true, 0.01);
+  for (size_t i = 0; i < Controller::kWindow; ++i)
+    controller.RecordOutcome(true);
   controller.Evaluate(OverloadSignals{});
   ASSERT_EQ(controller.state(), HealthState::kShedding);
 
-  // Clean outcomes push the failures out of the window...
-  for (int i = 0; i < 8; ++i) controller.RecordOutcome(false, 0.01);
+  // A window of clean outcomes pushes the failures out...
+  for (size_t i = 0; i < Controller::kWindow; ++i)
+    controller.RecordOutcome(false);
   // ...but one clean evaluation does not step down: recovery needs
-  // recovery_clean_evals consecutive clean looks AND the dwell.
+  // kRecoveryCleanEvals consecutive clean looks AND the dwell.
   controller.Evaluate(OverloadSignals{});
   EXPECT_EQ(controller.state(), HealthState::kShedding);
 
   // Keep evaluating past the dwell; the controller must pass through
   // degraded (one level per step), never jump shedding -> healthy.
-  for (int i = 0; i < 100 && controller.state() != HealthState::kHealthy;
+  for (int i = 0; i < 200 && controller.state() != HealthState::kHealthy;
        ++i) {
     SleepMs(5);
     controller.Evaluate(OverloadSignals{});
@@ -123,55 +127,39 @@ TEST(OverloadControllerTest, RecoveryIsMonotoneAndDwellGated) {
   ASSERT_EQ(controller.state(), HealthState::kHealthy);
 
   std::vector<OverloadTransition> transitions = controller.transitions();
-  ASSERT_GE(transitions.size(), 3u);
-  for (const OverloadTransition& t : transitions) {
+  ASSERT_EQ(transitions.size(), 3u);
+  for (size_t i = 0; i < transitions.size(); ++i) {
+    const OverloadTransition& t = transitions[i];
     int delta = static_cast<int>(t.to) - static_cast<int>(t.from);
     EXPECT_LE(delta, 2);   // escalation may jump straight to shedding
     EXPECT_GE(delta, -1);  // recovery steps down exactly one level
+    // Each step down held its state for the dwell.
+    if (i > 0) {
+      EXPECT_GE(t.t_seconds - transitions[i - 1].t_seconds,
+                Controller::kMinDwellSeconds);
+    }
   }
   EXPECT_EQ(static_cast<int>(transitions.back().to),
             static_cast<int>(HealthState::kHealthy));
 }
 
-TEST(OverloadControllerTest, DisabledControllerNeverLeavesHealthy) {
-  Observability obs;
-  OverloadOptions options = FastOptions();
-  options.enabled = false;
-  OverloadController controller(options, obs);
-  for (int i = 0; i < 8; ++i) controller.RecordOutcome(true, 10.0);
-  OverloadSignals signals;
-  signals.queue_frac = 1.0;
-  signals.mem_frac = 1.0;
-  controller.Evaluate(signals);
-  EXPECT_EQ(controller.state(), HealthState::kHealthy);
-  EXPECT_TRUE(controller.AdmissionCheck(-100).ok());
-  EXPECT_DOUBLE_EQ(controller.cpu_scale(), 1.0);
-  EXPECT_DOUBLE_EQ(controller.queue_scale(), 1.0);
-}
-
 // ---------------------------------------------------------- CircuitBreaker
-
-CircuitBreakerOptions FastBreaker() {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 2;
-  options.open_seconds = 0.02;
-  options.half_open_successes = 1;
-  return options;
-}
 
 TEST(CircuitBreakerTest, OpensFastFailsThenProbeCloses) {
   MetricsRegistry metrics;
   Observability obs;
   obs.metrics = &metrics;
-  CircuitBreaker breaker("storage_read", FastBreaker(), obs);
+  CircuitBreaker breaker("storage_read", obs);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_TRUE(breaker.Allow().ok());
 
-  breaker.RecordFailure();
+  for (int i = 0; i + 1 < CircuitBreaker::kFailureThreshold; ++i)
+    EXPECT_FALSE(breaker.RecordFailure());
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);  // below threshold
-  breaker.RecordFailure();
+  EXPECT_TRUE(breaker.RecordFailure());  // this failure opened it
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.times_opened(), 1u);
+  EXPECT_FALSE(breaker.RecordFailure());  // already open
 
   // While open every attempt fast-fails without touching the domain.
   Status gate = breaker.Allow();
@@ -185,7 +173,7 @@ TEST(CircuitBreakerTest, OpensFastFailsThenProbeCloses) {
 
   // After the cooldown one half-open probe goes through; its success
   // closes the breaker.
-  SleepMs(30);
+  SleepMs(static_cast<int>(CircuitBreaker::kOpenSeconds * 1000) + 20);
   EXPECT_TRUE(breaker.Allow().ok());
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
   breaker.RecordSuccess();
@@ -195,13 +183,13 @@ TEST(CircuitBreakerTest, OpensFastFailsThenProbeCloses) {
 
 TEST(CircuitBreakerTest, FailedProbeReopens) {
   Observability obs;
-  CircuitBreaker breaker("spill_io", FastBreaker(), obs);
-  breaker.RecordFailure();
-  breaker.RecordFailure();
+  CircuitBreaker breaker("spill_io", obs);
+  for (int i = 0; i < CircuitBreaker::kFailureThreshold; ++i)
+    breaker.RecordFailure();
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  SleepMs(30);
+  SleepMs(static_cast<int>(CircuitBreaker::kOpenSeconds * 1000) + 20);
   ASSERT_TRUE(breaker.Allow().ok());  // half-open probe
-  breaker.RecordFailure();
+  EXPECT_TRUE(breaker.RecordFailure());
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.times_opened(), 2u);
   EXPECT_FALSE(breaker.Allow().ok());
@@ -213,14 +201,16 @@ TEST(PoisonLogTest, QuarantinesAfterThresholdAndFastRejects) {
   MetricsRegistry metrics;
   Observability obs;
   obs.metrics = &metrics;
-  PoisonLog log(2, obs);
+  PoisonLog log(obs);
   const std::string sql = "SELECT * FROM cursed";
   GrantSnapshot grant;
   grant.parallelism = 4;
   grant.memory_pages = 64.0;
 
-  EXPECT_FALSE(log.RecordFailure(sql, 7, grant, Status::IoError("boom"),
-                                 3, /*seed=*/42));
+  for (int i = 0; i + 1 < PoisonLog::kQuarantineFailures; ++i) {
+    EXPECT_FALSE(log.RecordFailure(sql, 7, grant, Status::IoError("boom"),
+                                   3, /*seed=*/42));
+  }
   EXPECT_FALSE(log.IsQuarantined(sql));
   EXPECT_TRUE(log.RejectIfQuarantined(sql).ok());
 
@@ -243,7 +233,7 @@ TEST(PoisonLogTest, QuarantinesAfterThresholdAndFastRejects) {
   ASSERT_EQ(log.entries().size(), 1u);
   PoisonEntry entry = log.entries()[0];
   EXPECT_EQ(entry.query, sql);
-  EXPECT_EQ(entry.failures, 2);
+  EXPECT_EQ(entry.failures, PoisonLog::kQuarantineFailures);
   EXPECT_EQ(entry.seed, 42u);
   EXPECT_TRUE(entry.quarantined);
   EXPECT_EQ(entry.rejected, 1u);
@@ -254,13 +244,64 @@ TEST(PoisonLogTest, QuarantinesAfterThresholdAndFastRejects) {
   EXPECT_NE(log.DumpJsonLines().find("cursed"), std::string::npos);
 }
 
-TEST(PoisonLogTest, DisabledLogRecordsNothing) {
-  PoisonLog log(0);
-  EXPECT_FALSE(log.enabled());
-  for (int i = 0; i < 5; ++i)
-    log.RecordFailure("SELECT 1", 1, GrantSnapshot{}, Status::IoError("x"), 1);
+// Quarantine means kQuarantineFailures failures in a row: a success in
+// between drops the count, so a storm that fails an honest statement now
+// and then never quarantines it. A quarantined statement stays
+// quarantined.
+TEST(PoisonLogTest, SuccessBetweenFailuresResetsTheCount) {
+  PoisonLog log;
+  const std::string sql = "SELECT * FROM orders";
+  const int below = PoisonLog::kQuarantineFailures - 1;
+
+  log.RecordSuccess(sql);  // nothing to drop
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.RejectIfQuarantined("SELECT 1").ok());
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < below; ++i)
+      EXPECT_FALSE(log.RecordFailure(sql, 1, GrantSnapshot{},
+                                     Status::IoError("storm"), 1));
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log.entries()[0].failures, below);
+    // Another statement's success leaves this one's count alone.
+    log.RecordSuccess("SELECT 1");
+    EXPECT_EQ(log.entries()[0].failures, below);
+    log.RecordSuccess(sql);
+    EXPECT_EQ(log.size(), 0u);
+  }
+  EXPECT_FALSE(log.IsQuarantined(sql));
+
+  for (int i = 0; i < below; ++i)
+    log.RecordFailure(sql, 1, GrantSnapshot{}, Status::IoError("storm"), 1);
+  EXPECT_TRUE(log.RecordFailure(sql, 1, GrantSnapshot{},
+                                Status::IoError("storm"), 1));
+  log.RecordSuccess(sql);
+  EXPECT_TRUE(log.IsQuarantined(sql));
+  EXPECT_EQ(log.size(), 1u);
+}
+
+// The serving engine calls ClearStreaks when a fault domain's breaker
+// opens: the domain is failing, so the counts in progress are dropped.
+// Quarantines stay.
+TEST(PoisonLogTest, ClearStreaksKeepsQuarantines) {
+  PoisonLog log;
+  const std::string cursed = "SELECT * FROM cursed";
+  const std::string honest = "SELECT * FROM orders";
+  for (int i = 0; i < PoisonLog::kQuarantineFailures; ++i)
+    log.RecordFailure(cursed, 1, GrantSnapshot{}, Status::IoError("bad"), 1);
+  for (int i = 0; i + 1 < PoisonLog::kQuarantineFailures; ++i)
+    log.RecordFailure(honest, 2, GrantSnapshot{}, Status::IoError("storm"), 1);
+  ASSERT_EQ(log.size(), 2u);
+
+  log.ClearStreaks();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_TRUE(log.IsQuarantined(cursed));
+  // The storm-hit statement counts from zero again.
+  EXPECT_FALSE(log.RecordFailure(honest, 2, GrantSnapshot{},
+                                 Status::IoError("storm"), 1));
+  for (const PoisonEntry& entry : log.entries()) {
+    if (entry.query == honest) {
+      EXPECT_EQ(entry.failures, 1);
+    }
+  }
 }
 
 // ------------------------------------------------------- CancellationToken
@@ -325,7 +366,6 @@ TEST(QuerySchedulerTest, PreemptsLowestPriorityVictimForMemory) {
   ServeOptions options;
   options.max_concurrent = 2;
   options.memory_pages_budget = 100.0;
-  options.degrade_wait_seconds = 0.01;
   options.obs.metrics = &metrics;
   QueryScheduler scheduler(options);
 
@@ -361,7 +401,7 @@ TEST(QuerySchedulerTest, PreemptsLowestPriorityVictimForMemory) {
   ASSERT_EQ(victim_runs.load(), 1);
 
   // Contender: higher priority, also needs 80 pages — cannot fit until
-  // the victim's pages come back. After degrade_wait_seconds the
+  // the victim's pages come back. After kDegradeWaitSeconds the
   // scheduler must reclaim by preempting the victim, not degrade the
   // contender to spill.
   std::atomic<bool> contender_degraded{false};

@@ -45,7 +45,14 @@ SOAK = {
     "poison": {"quarantined": True, "fast_reject": True, "entries": 3},
     "phases": [{"name": "peak", "seconds": 1.5, "submitted": 500,
                 "completed": 400, "failed": 10, "shed": 90,
-                "p99_ms": 3.8}],
+                "p99_ms": 3.8},
+               {"name": "recovery", "seconds": 1.5, "submitted": 500,
+                "completed": 500, "failed": 0, "shed": 0,
+                "p99_ms": 1.2}],
+    "counters": {"serve.degraded": 0, "serve.preempted": 0,
+                 "overload.breaker.storage_read.opened": 1,
+                 "overload.breaker.spill_io.opened": 0,
+                 "resilience.retry.fragment": 12},
 }
 
 PROFILE = {
@@ -197,8 +204,15 @@ CASES = [
     ("soak fast reject", SOAK,
      lambda d: d["poison"].update(fast_reject=False), False,
      "quarantined statement was not fast-rejected"),
+    ("soak recovery failures", SOAK,
+     lambda d: d["phases"][1].update(failed=1), False,
+     "1 statements failed in the recovery phase"),
+    ("soak no recovery phase", SOAK, lambda d: d["phases"].pop(1), False,
+     "no recovery phase"),
     ("soak schema", SOAK, lambda d: d["breakers"].pop("spill_io"), False,
      "breakers: missing spill_io"),
+    ("soak counters", SOAK, lambda d: d.pop("counters"), False,
+     "artifact: missing counters"),
 
     ("profile totals", PROFILE,
      lambda d: d["totals"].update(tuples_out=49), False,

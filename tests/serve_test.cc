@@ -490,8 +490,8 @@ TEST_F(ServingEngineTest, ZeroPinnedFramesAndZeroSessionsAfterDrain) {
   ServingEngine::Options options;
   options.serve.max_concurrent = 3;
   options.buffer_pool_frames = 32;
-  options.soft_pin_frames = 16;
   auto engine = MakeEngine(std::move(options));
+  engine->pool()->SetSoftPinLimit(16);
 
   std::vector<std::shared_ptr<ServingSession>> sessions;
   std::vector<SubmittedQuery> submitted;

@@ -5,7 +5,8 @@
 // armed) runs through the ServingEngine for a time-boxed window while a
 // fault driver walks a storm timeline:
 //
-//   baseline   no faults; canon answers, poison-quarantine drill
+//   baseline   no faults; canon answers (the poison-quarantine drill
+//              runs before it, on a twin engine)
 //   ramp       buffer-pool fetch fault rate climbs linearly to the peak
 //   peak       sustained storm; the read breaker opens, the overload
 //              controller sheds (spill write faults are armed too, but no
@@ -226,8 +227,9 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // ---- the serving engine, with metrics but no trace: a trace of every
-  // soak statement would hold hundreds of thousands of events ----
+  // ---- the serving engine's options: metrics but no trace, since a
+  // trace of every soak statement would hold hundreds of thousands of
+  // events ----
   MetricsRegistry metrics;
   ServingEngine::Options options;
   options.serve.machine = MachineConfig::PaperConfig();
@@ -237,46 +239,58 @@ int Run(int argc, char** argv) {
   options.serve.obs.metrics = &metrics;
   options.buffer_pool_frames = 128;
   options.retry_jitter_seed = seed;
-  ServingEngine engine(&catalog, MachineConfig::PaperConfig(), &model,
-                       std::move(options));
 
   ChaosInjector chaos(seed ^ 0xC4A05ULL);
   std::set<BlockId> cursed_blocks;
   for (uint32_t p = 0; p < cursed->file().num_pages(); ++p)
     cursed_blocks.insert(cursed->file().BlockOf(p).value());
   chaos.PoisonBlocks(std::move(cursed_blocks));
+
+  // ---- poison-quarantine drill (before the storm), on an engine of its
+  // own: its alternating failures and successes would fill the soak
+  // engine's overload window at a 0.50 fault rate and shed baseline
+  // traffic. The twin has the soak engine's options, without the metrics
+  // registry (the counters describe the soak), and the same injector. ----
+  const std::string poison_sql = "SELECT * FROM cursed";
+  bool poison_quarantined = false;
+  bool poison_fast_reject = false;
+  {
+    ServingEngine::Options drill_options = options;
+    drill_options.serve.obs.metrics = nullptr;
+    ServingEngine drill_engine(&catalog, MachineConfig::PaperConfig(), &model,
+                               std::move(drill_options));
+    drill_engine.pool()->SetFaultInjector(&chaos);
+    auto drill =
+        drill_engine.OpenSession({/*priority=*/0, 1.0, "poison-drill"});
+    QueryOptions qo;
+    qo.replay_seed = seed;
+    for (int i = 0;
+         i < 20 && !drill_engine.poison_log().IsQuarantined(poison_sql); ++i) {
+      (void)drill->Execute(poison_sql, qo);
+      // A healthy statement between drill shots keeps the read breaker's
+      // consecutive-failure count from opening it.
+      (void)drill->Execute(mix[i % mix.size()].sql);
+    }
+    poison_quarantined = drill_engine.poison_log().IsQuarantined(poison_sql);
+    if (poison_quarantined) {
+      auto rejected = drill->Submit(poison_sql);
+      poison_fast_reject = !rejected.ok() &&
+                           PoisonLog::IsPoisonReject(rejected.status());
+    }
+    drill_engine.CloseSession(drill);
+  }
+  std::printf("poison drill: quarantined=%d fast_reject=%d\n",
+              poison_quarantined ? 1 : 0, poison_fast_reject ? 1 : 0);
+
+  // ---- the soak's engine ----
+  ServingEngine engine(&catalog, MachineConfig::PaperConfig(), &model,
+                       std::move(options));
   engine.pool()->SetFaultInjector(&chaos);
   // Spill domain: a seeded write-fault script on the spill array. The mix's
   // largest memory estimate is under one page against a 512-page budget,
   // so no statement degrades to spill and the spill_io breaker never opens.
   ScriptedFaultInjector spill_faults;
   engine.spill_array()->SetFaultInjector(&spill_faults);
-
-  // ---- poison-quarantine drill (baseline, before the storm) ----
-  const std::string poison_sql = "SELECT * FROM cursed";
-  bool poison_quarantined = false;
-  bool poison_fast_reject = false;
-  {
-    auto drill = engine.OpenSession({/*priority=*/0, 1.0, "poison-drill"});
-    QueryOptions qo;
-    qo.replay_seed = seed;
-    for (int i = 0; i < 20 && !engine.poison_log().IsQuarantined(poison_sql);
-         ++i) {
-      (void)drill->Execute(poison_sql, qo);
-      // A healthy statement between drill shots keeps the read breaker's
-      // consecutive-failure count from opening it during baseline.
-      (void)drill->Execute(mix[i % mix.size()].sql);
-    }
-    poison_quarantined = engine.poison_log().IsQuarantined(poison_sql);
-    if (poison_quarantined) {
-      auto rejected = drill->Submit(poison_sql);
-      poison_fast_reject = !rejected.ok() &&
-                           PoisonLog::IsPoisonReject(rejected.status());
-    }
-    engine.CloseSession(drill);
-  }
-  std::printf("poison drill: quarantined=%d fast_reject=%d\n",
-              poison_quarantined ? 1 : 0, poison_fast_reject ? 1 : 0);
 
   // ---- the soak ----
   PhaseStats phases[kNumPhases];

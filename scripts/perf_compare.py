@@ -12,9 +12,10 @@ schema and absolute gates; exec and macro also compare with a baseline:
   profile  bench_profile --profile-out: totals reconcile with the
            operators; fragments and the timeline are non-empty.
   soak     bench_soak: 0 oracle diffs, 0 leaked pins or sessions,
-           shedding reached, recovery to healthy, 0 failed statements in
-           the recovery phase, and a poison statement quarantined and
-           fast-rejected. Rungs whose counter reads 0 are printed.
+           shedding reached, recovery to healthy, 0 statements shed in
+           the baseline phase, 0 failed in the recovery phase, and a
+           poison statement quarantined and fast-rejected. Rungs whose
+           counter reads 0 are printed.
   exec     bench_exec: scan_filter and hash_join_count >= 2.0x,
            join_group_sum >= 1.0x; against a baseline, each speedup.
   macro    bench_macro: 0 diffs per mode and overall, span coverage
@@ -141,10 +142,18 @@ def gates_soak(soak, gate):
     gate(not poison["quarantined"], "soak: poison statement not quarantined")
     gate(not poison["fast_reject"],
          "soak: quarantined statement was not fast-rejected")
+    # The baseline phase runs before any fault is armed (the poison drill
+    # runs on its own engine), so the controller has nothing to shed for.
+    phases = by_name(soak["phases"])
+    baseline = phases.get("baseline")
+    gate(baseline is None, "soak: no baseline phase")
+    shed = baseline["shed"] if baseline is not None else 0
+    gate(shed != 0, f"soak: {shed} statements shed in the fault-free "
+         "baseline phase")
     # Every fault is disarmed before the recovery phase starts, so a
     # statement failing there is the program's fault: say, a storm-time
     # quarantine of an honest statement.
-    recovery = by_name(soak["phases"]).get("recovery")
+    recovery = phases.get("recovery")
     gate(recovery is None, "soak: no recovery phase")
     failed = recovery["failed"] if recovery is not None else 0
     gate(failed != 0, f"soak: {failed} statements failed in the recovery "

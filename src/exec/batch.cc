@@ -1,5 +1,7 @@
 #include "exec/batch.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace xprs {
@@ -15,23 +17,33 @@ void ColumnBatch::Reset(const Schema* schema) {
   has_sel_ = false;
 }
 
-uint32_t ColumnBatch::AddRow() {
-  const uint32_t row = num_rows_++;
-  for (Column& c : columns_) {
-    if (c.nulls.size() <= row) c.nulls.resize(row + 1);
-    c.nulls[row] = 1;
+uint32_t ColumnBatch::AddRows(uint32_t n) {
+  const uint32_t first = num_rows_;
+  num_rows_ += n;
+  // Vectors only grow, so a reused batch keeps its per-row std::string
+  // capacity. An int4 column gets a value slot for every row, NULL or
+  // not, so a gather copies any source row without testing its null
+  // byte; text slots are made only where a value is set (SetText), since
+  // every reader tests the null byte before it reads a string.
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Column& col = columns_[c];
+    if (col.nulls.size() < num_rows_) col.nulls.resize(num_rows_);
+    std::fill_n(col.nulls.begin() + first, n, uint8_t{1});
+    if (schema_->column(c).type == TypeId::kInt4 &&
+        col.ints.size() < num_rows_)
+      col.ints.resize(num_rows_);
   }
-  return row;
+  return first;
 }
 
-Status ColumnBatch::AppendSerializedTuple(const uint8_t* data, uint16_t size,
-                                          const std::vector<uint8_t>* mask) {
-  const uint32_t row = AddRow();
+Status ColumnBatch::DecodeRow(uint32_t row, const uint8_t* data,
+                              uint16_t size,
+                              const std::vector<uint8_t>* mask) {
   uint32_t pos = 0;
   for (size_t c = 0; c < columns_.size(); ++c) {
     if (pos >= size) return Status::Internal("truncated tuple (null byte)");
     const bool null = data[pos++] != 0;
-    if (null) continue;  // AddRow initialized the row to all-NULL
+    if (null) continue;  // AddRows initialized the row to all-NULL
     // Masked-out columns are parsed past (the wire format is sequential)
     // but never stored; bounds checks stay identical either way.
     const bool wanted = mask == nullptr || (*mask)[c] != 0;
@@ -79,57 +91,51 @@ void ColumnBatch::SetValue(size_t col, uint32_t row, const Value& value) {
 
 void ColumnBatch::AppendTuple(const Tuple& tuple) {
   XPRS_CHECK_EQ(tuple.size(), columns_.size());
-  const uint32_t row = AddRow();
+  const uint32_t row = AddRows(1);
   for (size_t c = 0; c < columns_.size(); ++c) SetValue(c, row, tuple.value(c));
 }
 
-void ColumnBatch::CopyValue(size_t dst_col, uint32_t dst_row,
-                            const ColumnBatch& src, size_t src_col,
-                            uint32_t src_row) {
-  const Column& from = src.columns_[src_col];
-  if (from.nulls[src_row]) return;  // destination row starts all-NULL
-  if (src.schema_->column(src_col).type == TypeId::kInt4) {
-    SetInt(dst_col, dst_row, from.ints[src_row]);
-  } else {
-    const std::string& s = from.texts[src_row];
-    SetText(dst_col, dst_row, s.data(), s.size());
+void ColumnBatch::Gather(uint32_t first, const ColumnBatch& src,
+                         std::span<const uint32_t> rows, size_t offset,
+                         const std::vector<uint8_t>* mask) {
+  XPRS_CHECK_LE(offset + src.columns_.size(), columns_.size());
+  XPRS_CHECK_LE(first + rows.size(), num_rows_);
+  const size_t n = rows.size();
+  for (size_t s = 0; s < src.columns_.size(); ++s) {
+    const size_t d = offset + s;
+    if (mask != nullptr && (*mask)[d] == 0) continue;
+    const Column& from = src.columns_[s];
+    if (schema_->column(d).type == TypeId::kInt4) {
+      uint8_t* nulls = columns_[d].nulls.data() + first;
+      int32_t* ints = columns_[d].ints.data() + first;
+      for (size_t i = 0; i < n; ++i) {
+        nulls[i] = from.nulls[rows[i]];
+        ints[i] = from.ints[rows[i]];
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        if (from.nulls[rows[i]] != 0) continue;  // the row starts all-NULL
+        const std::string& text = from.texts[rows[i]];
+        SetText(d, first + static_cast<uint32_t>(i), text.data(),
+                text.size());
+      }
+    }
   }
 }
 
-void ColumnBatch::AppendRowFrom(const ColumnBatch& src, uint32_t src_row) {
-  XPRS_CHECK_EQ(columns_.size(), src.columns_.size());
-  const uint32_t row = AddRow();
-  for (size_t c = 0; c < columns_.size(); ++c)
-    CopyValue(c, row, src, c, src_row);
-}
-
-void ColumnBatch::AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
-                                  const ColumnBatch& right, uint32_t right_row,
-                                  const std::vector<uint8_t>* mask) {
-  const size_t split = left.columns_.size();
-  XPRS_CHECK_EQ(columns_.size(), split + right.columns_.size());
-  const uint32_t row = AddRow();
-  for (size_t c = 0; c < split; ++c) {
-    if (mask == nullptr || (*mask)[c] != 0) CopyValue(c, row, left, c, left_row);
-  }
-  for (size_t c = 0; c < right.columns_.size(); ++c) {
-    if (mask == nullptr || (*mask)[split + c] != 0)
-      CopyValue(split + c, row, right, c, right_row);
-  }
-}
-
-void ColumnBatch::AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
-                                  const Tuple& right,
-                                  const std::vector<uint8_t>* mask) {
-  const size_t split = left.columns_.size();
-  XPRS_CHECK_EQ(columns_.size(), split + right.size());
-  const uint32_t row = AddRow();
-  for (size_t c = 0; c < split; ++c) {
-    if (mask == nullptr || (*mask)[c] != 0) CopyValue(c, row, left, c, left_row);
-  }
-  for (size_t c = 0; c < right.size(); ++c) {
-    if (mask == nullptr || (*mask)[split + c] != 0)
-      SetValue(split + c, row, right.value(c));
+void ColumnBatch::Gather(uint32_t first, const std::vector<Tuple>& src,
+                         std::span<const uint32_t> rows, size_t offset,
+                         const std::vector<uint8_t>* mask) {
+  XPRS_CHECK_LE(offset, columns_.size());
+  XPRS_CHECK_LE(first + rows.size(), num_rows_);
+  const size_t n = rows.size();
+  const size_t width = columns_.size() - offset;
+  if (n > 0) XPRS_CHECK_EQ(src[rows[0]].size(), width);
+  for (size_t s = 0; s < width; ++s) {
+    const size_t d = offset + s;
+    if (mask != nullptr && (*mask)[d] == 0) continue;
+    for (size_t i = 0; i < n; ++i)
+      SetValue(d, first + static_cast<uint32_t>(i), src[rows[i]].value(s));
   }
 }
 

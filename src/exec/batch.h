@@ -7,6 +7,11 @@
 // through a pipeline with a single decode at the scan and a single
 // materialization at the consumer boundary (VectorizedAdapterOp).
 //
+// Rows are built a column at a time: AddRows(n) appends n all-NULL rows,
+// then the scan decodes each tuple into its own row and every other
+// producer (a join's matches, a build drain, aggregate results) copies
+// the listed source rows one column at a time with Gather.
+//
 // Batches are designed for reuse: Reset() rewinds the row count but keeps
 // every vector's capacity (including per-row std::string capacity), so a
 // steady-state pipeline allocates nothing per batch.
@@ -15,6 +20,7 @@
 #define XPRS_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +35,9 @@ class ColumnBatch {
   static constexpr uint32_t kDefaultRows = 1024;
 
   /// One column's storage. Only the vector matching the schema type is
-  /// populated; value slots of NULL rows are unspecified.
+  /// populated. `ints` holds a slot for every row; `texts` holds strings
+  /// only up to the last row given a value, and is read only where the
+  /// null byte is 0. The value slots of NULL rows are unspecified.
   struct Column {
     std::vector<int32_t> ints;
     std::vector<std::string> texts;
@@ -68,12 +76,12 @@ class ColumnBatch {
   }
 
   // --- row assembly ---
-  /// Appends one physical row, initialized to all-NULL, and returns its
-  /// index. Fill values with SetInt / SetText.
-  uint32_t AddRow();
+  /// Appends `n` physical rows, initialized to all-NULL, and returns the
+  /// index of the first. Fill values with SetInt / SetText, DecodeRow or
+  /// Gather.
+  uint32_t AddRows(uint32_t n);
   void SetInt(size_t col, uint32_t row, int32_t value) {
     Column& c = columns_[col];
-    if (c.ints.size() <= row) c.ints.resize(row + 1);
     c.ints[row] = value;
     c.nulls[row] = 0;
   }
@@ -85,30 +93,29 @@ class ColumnBatch {
   }
 
   /// Decodes one serialized tuple (the heap-page wire format) straight
-  /// into the columns — the scan path; no Tuple/Value is materialized.
-  /// With `mask` (one byte per column, 0 = skip), masked-out columns are
-  /// parsed past but not stored and stay NULL — late materialization for
-  /// consumers that read a column subset.
-  Status AppendSerializedTuple(const uint8_t* data, uint16_t size,
-                               const std::vector<uint8_t>* mask = nullptr);
+  /// into the (already added, all-NULL) row `row` — the scan path; no
+  /// Tuple/Value is materialized. With `mask` (one byte per column, 0 =
+  /// skip), masked-out columns are parsed past but not stored and stay
+  /// NULL — late materialization for consumers that read a column subset.
+  Status DecodeRow(uint32_t row, const uint8_t* data, uint16_t size,
+                   const std::vector<uint8_t>* mask = nullptr);
 
   /// Appends a materialized tuple (adapter boundaries, temp sources).
   void AppendTuple(const Tuple& tuple);
 
-  /// Copies physical row `src_row` of `src` (same schema layout).
-  void AppendRowFrom(const ColumnBatch& src, uint32_t src_row);
-
-  /// Appends the concatenation of `left[left_row]` and `right[right_row]`
-  /// (join output; this batch's schema is the concatenated schema). With
-  /// `mask` (over the concatenated columns, 0 = skip), skipped columns
-  /// stay NULL.
-  void AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
-                       const ColumnBatch& right, uint32_t right_row,
-                       const std::vector<uint8_t>* mask = nullptr);
-  /// The same, with a materialized right row (a shared build input).
-  void AppendConcatRow(const ColumnBatch& left, uint32_t left_row,
-                       const Tuple& right,
-                       const std::vector<uint8_t>* mask = nullptr);
+  /// Copies rows into the (already added, all-NULL) rows [first, first +
+  /// rows.size()), a column at a time: column c of source row rows[i]
+  /// lands in column `offset + c` of row first + i. With `mask` (over this
+  /// batch's columns, 0 = skip), skipped columns are never touched and
+  /// stay NULL. Source columns have the types of this batch's columns
+  /// from `offset` on. The source is a batch (physical row indices) or a
+  /// materialized input's tuples (a shared build input).
+  void Gather(uint32_t first, const ColumnBatch& src,
+              std::span<const uint32_t> rows, size_t offset = 0,
+              const std::vector<uint8_t>* mask = nullptr);
+  void Gather(uint32_t first, const std::vector<Tuple>& src,
+              std::span<const uint32_t> rows, size_t offset = 0,
+              const std::vector<uint8_t>* mask = nullptr);
 
   // --- row access ---
   bool IsNullAt(size_t col, uint32_t row) const {
@@ -125,10 +132,6 @@ class ColumnBatch {
   Tuple MaterializeRow(uint32_t row) const;
 
  private:
-  // Copies column `src_col` of src[src_row] into column `dst_col` of the
-  // (already added) row `dst_row`.
-  void CopyValue(size_t dst_col, uint32_t dst_row, const ColumnBatch& src,
-                 size_t src_col, uint32_t src_row);
   // Stores `value` into column `col` of the (already added) row `row`.
   void SetValue(size_t col, uint32_t row, const Value& value);
 

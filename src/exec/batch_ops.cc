@@ -1,6 +1,7 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "exec/page_partition.h"
 #include "util/check.h"
@@ -48,6 +49,8 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
+  const std::vector<uint8_t>* mask =
+      decode_mask_.empty() ? nullptr : &decode_mask_;
   while (out->size() < target) {
     const std::optional<uint32_t> page_index = TakePage();
     if (!page_index.has_value()) break;
@@ -60,12 +63,12 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
     ++pages_read_;
     ProfPagesRead(1);
     const uint16_t n = page->num_tuples();
+    const uint32_t first = out->AddRows(n);
     for (uint16_t slot = 0; slot < n; ++slot) {
       const uint8_t* data;
       uint16_t size;
       XPRS_RETURN_IF_ERROR(page->GetTuple(slot, &data, &size));
-      XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
-          data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
+      XPRS_RETURN_IF_ERROR(out->DecodeRow(first + slot, data, size, mask));
     }
   }
   if (out->size() == 0) {
@@ -172,20 +175,24 @@ Status BatchHashJoinOp::OpenImpl() {
       inner_->schema().column(right_key_).type == TypeId::kInt4;
   std::vector<int32_t> keys;    // of each build row
   std::vector<uint32_t> rows;   // its position in build_
+  std::vector<uint32_t> kept;   // a build batch's rows with a key
   for (;;) {
     bool eof = false;
     XPRS_RETURN_IF_ERROR(inner_->NextBatch(&scratch_, &eof));
     if (eof) break;
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
+    kept.clear();
     const uint32_t n = scratch_.ActiveSize();
     for (uint32_t k = 0; k < n; ++k) {
       const uint32_t r = scratch_.ActiveRow(k);
       if (scratch_.IsNullAt(right_key_, r)) continue;  // NULL keys never match
       XPRS_CHECK_MSG(key_is_int, "join key must be int4");
       keys.push_back(scratch_.IntAt(right_key_, r));
-      rows.push_back(build_.size());
-      build_.AppendRowFrom(scratch_, r);
+      rows.push_back(static_cast<uint32_t>(rows.size()));
+      kept.push_back(r);
     }
+    const uint32_t first = build_.AddRows(static_cast<uint32_t>(kept.size()));
+    build_.Gather(first, scratch_, kept);
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
   owned_table_.Build(keys, rows);
@@ -201,31 +208,31 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
   const uint32_t target = BatchTarget(ctx_);
   const bool key_is_int =
       outer_->schema().column(left_key_).type == TypeId::kInt4;
-  const std::vector<uint8_t>* mask = emit_mask_.empty() ? nullptr : &emit_mask_;
   for (;;) {
     if (have_probe_) {
+      const ColumnBatch::Column& keys = probe_.column(left_key_);
       const uint32_t n = probe_.ActiveSize();
-      while (probe_pos_ < n) {
+      // Whole probe rows only: a probe row is never split across output
+      // batches, so the batch may overshoot the target by one row's match
+      // count.
+      while (probe_pos_ < n && out->size() + match_probe_.size() < target) {
         const uint32_t r = probe_.ActiveRow(probe_pos_++);
-        if (probe_.IsNullAt(left_key_, r)) continue;  // NULL keys never match
+        if (keys.nulls[r] != 0) continue;  // NULL keys never match
         XPRS_CHECK_MSG(key_is_int, "join key must be int4");
-        const int32_t key = probe_.IntAt(left_key_, r);
+        const int32_t key = keys.ints[r];
         const auto [first, last] = table_->Bucket(key);
         for (uint32_t e = first; e < last; ++e) {
           if (table_->key(e) != key) continue;
-          if (shared_build_ != nullptr) {
-            out->AppendConcatRow(probe_, r,
-                                 shared_build_->tuples[table_->row(e)], mask);
-          } else {
-            out->AppendConcatRow(probe_, r, build_, table_->row(e), mask);
-          }
+          match_probe_.push_back(r);
+          match_build_.push_back(table_->row(e));
         }
-        // A probe row is never split across output batches, so the batch
-        // may overshoot the target by one row's match count.
-        if (out->size() >= target) {
-          ProfRowsOut(out->size());
-          return Status::OK();
-        }
+      }
+      // The matches point into probe_, so they are emitted before the
+      // next probe batch overwrites it.
+      EmitMatches(out);
+      if (out->size() >= target) {
+        ProfRowsOut(out->size());
+        return Status::OK();
       }
       have_probe_ = false;
     }
@@ -245,6 +252,22 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
   }
   ProfRowsOut(out->size());
   return Status::OK();
+}
+
+void BatchHashJoinOp::EmitMatches(ColumnBatch* out) {
+  if (match_probe_.empty()) return;
+  const uint32_t first =
+      out->AddRows(static_cast<uint32_t>(match_probe_.size()));
+  const std::vector<uint8_t>* mask = emit_mask_.empty() ? nullptr : &emit_mask_;
+  out->Gather(first, probe_, match_probe_, 0, mask);
+  const size_t split = outer_->schema().num_columns();
+  if (shared_build_ != nullptr) {
+    out->Gather(first, shared_build_->tuples, match_build_, split, mask);
+  } else {
+    out->Gather(first, build_, match_build_, split, mask);
+  }
+  match_probe_.clear();
+  match_build_.clear();
 }
 
 Status BatchHashJoinOp::Close() {
@@ -318,7 +341,7 @@ Status BatchAggregateOp::OpenImpl() {
   }
   XPRS_RETURN_IF_ERROR(child_->Close());
   for (const auto& [key, value] : agg.Results()) {
-    const uint32_t row = results_.AddRow();
+    const uint32_t row = results_.AddRows(1);
     size_t col = 0;
     if (group_col_ >= 0) results_.SetInt(col++, row, key);
     results_.SetInt(col, row, value);
@@ -330,9 +353,11 @@ Status BatchAggregateOp::OpenImpl() {
 Status BatchAggregateOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&schema_);
-  const uint32_t target = BatchTarget(ctx_);
-  while (pos_ < results_.size() && out->size() < target)
-    out->AppendRowFrom(results_, pos_++);
+  const uint32_t n = std::min(BatchTarget(ctx_), results_.size() - pos_);
+  rows_.resize(n);
+  std::iota(rows_.begin(), rows_.end(), pos_);
+  out->Gather(out->AddRows(n), results_, rows_);
+  pos_ += n;
   if (out->size() == 0) {
     *eof = true;
     return Status::OK();

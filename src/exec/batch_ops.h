@@ -63,8 +63,7 @@ class BatchOperator {
   /// this stop decoding/copying the other columns — which stay NULL in
   /// emitted batches — and propagate their own column demands (join keys,
   /// filter predicates) to their children. Must be called before Open;
-  /// the default ignores the hint. Never called on a pipeline root: the
-  /// adapter materializes every column.
+  /// the default ignores the hint.
   virtual void PruneOutputColumns(const std::vector<uint8_t>& /*needed*/) {}
 
  protected:
@@ -161,11 +160,14 @@ class BatchFilterOp : public BatchOperator {
 
 /// Batched hash join: drains the inner (build) input batch-at-a-time into
 /// a column store indexed by a JoinHashTable on Open, then streams probe
-/// batches from the outer input, emitting concatenated match rows. The
-/// fragment form probes a materialized build input through the index it
-/// shares with every other prober (TempResult::JoinIndex) and emits its
-/// rows straight from the shared tuples. NULL keys never match. Both join
-/// key columns must be int4.
+/// batches from the outer input. Each probe batch is probed into (probe
+/// row, build row) match vectors, and the output is built a column at a
+/// time: one gather per needed column from the probe batch and one from
+/// the build rows. The fragment form probes a materialized build input
+/// through the index it shares with every other prober
+/// (TempResult::JoinIndex) and gathers its columns straight from the
+/// shared tuples. NULL keys never match. Both join key columns must be
+/// int4.
 class BatchHashJoinOp : public BatchOperator {
  public:
   BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
@@ -186,6 +188,8 @@ class BatchHashJoinOp : public BatchOperator {
 
  private:
   Status OpenImpl();
+  // Appends the pending matches to `out` and clears them.
+  void EmitMatches(ColumnBatch* out);
 
   std::unique_ptr<BatchOperator> outer_;
   std::unique_ptr<BatchOperator> inner_;  ///< inline build only
@@ -199,6 +203,10 @@ class BatchHashJoinOp : public BatchOperator {
   const JoinHashTable* table_ = nullptr;  ///< owned_table_ or shared index
   ColumnBatch scratch_;  ///< build-drain scratch batch
   ColumnBatch probe_;
+  // The pending matches of probe_: physical probe rows and the positions
+  // of their build rows, in output order.
+  std::vector<uint32_t> match_probe_;
+  std::vector<uint32_t> match_build_;
   uint32_t probe_pos_ = 0;
   bool have_probe_ = false;
   bool outer_done_ = false;
@@ -231,6 +239,7 @@ class BatchAggregateOp : public BatchOperator {
 
   ColumnBatch scratch_;
   ColumnBatch results_;
+  std::vector<uint32_t> rows_;  ///< results_ rows of the batch being emitted
   uint32_t pos_ = 0;
 };
 

@@ -337,8 +337,7 @@ StatusOr<std::unique_ptr<BatchOperator>> FragmentBuilder::BuildBatch(
                             BuildBatch(node->left.get()));
       // The aggregate reads only its agg / group columns: prune the rest
       // out of the child pipeline (scans skip the decode, joins skip the
-      // copy). The root of a pipeline is never pruned, so results at the
-      // adapter boundary are unaffected.
+      // copy).
       std::vector<uint8_t> needed(child->schema().num_columns(), 0);
       needed[node->agg_col] = 1;
       if (node->group_col >= 0) needed[node->group_col] = 1;
@@ -385,6 +384,10 @@ StatusOr<std::unique_ptr<Operator>> FragmentBuilder::Build(
   if (ctx_.vectorized && Vectorizable(node)) {
     XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> root,
                           BuildBatch(node));
+    // A statement's plan root: only its projected columns are decoded and
+    // copied, and the adapter materializes the rest as NULL.
+    if (!node->projected_columns.empty())
+      root->PruneOutputColumns(node->projected_columns);
     return std::unique_ptr<Operator>(
         std::make_unique<VectorizedAdapterOp>(std::move(root), ctx_.cancel));
   }

@@ -84,6 +84,7 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   copy->agg_func = agg_func;
   copy->agg_col = agg_col;
   copy->group_col = group_col;
+  copy->projected_columns = projected_columns;
   if (left) copy->left = left->Clone();
   if (right) copy->right = right->Clone();
   return copy;

@@ -5,6 +5,7 @@
 #ifndef XPRS_EXEC_PLAN_H_
 #define XPRS_EXEC_PLAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +56,11 @@ struct PlanNode {
   AggFunc agg_func = AggFunc::kCount;
   size_t agg_col = 0;
   int group_col = -1;
+
+  // A row-returning statement's plan root: one byte per output column,
+  // 0 = the statement never reads it (empty = it reads every column). A
+  // batch subtree rooted here leaves the unread columns NULL.
+  std::vector<uint8_t> projected_columns;
 
   std::unique_ptr<PlanNode> left;   ///< outer input / sort input
   std::unique_ptr<PlanNode> right;  ///< inner input (joins)

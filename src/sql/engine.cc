@@ -298,6 +298,9 @@ StatusOr<PreparedStatement> SqlEngine::Prepare(const std::string& sql,
       project(index);
     }
     prepared.schema = Schema(std::move(columns));
+    plan->projected_columns.assign(plan->output_schema.num_columns(), 0);
+    for (size_t index : prepared.projection)
+      plan->projected_columns[index] = 1;
   }
   prepared.plan_text = plan->ToString();
   prepared.plan = std::move(plan);

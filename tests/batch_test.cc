@@ -1,8 +1,9 @@
-// Tests for the vectorized (batch-at-a-time) execution path: ColumnBatch
-// and selection-vector edge cases, Predicate::FilterBatch, and the batch
-// operators cross-checked against the tuple reference executor — including
-// NULL keys, empty inputs, tiny batch sizes, cancellation, pooled pin
-// balance, and profiled stats ownership.
+// Tests for the vectorized (batch-at-a-time) execution path: ColumnBatch,
+// its column gathers and selection-vector edge cases,
+// Predicate::FilterBatch, and the batch operators cross-checked against
+// the tuple reference executor — including NULL keys, empty inputs, tiny
+// batch sizes, the join's output order and batch boundaries, cancellation,
+// pooled pin balance, and profiled stats ownership.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "resilience/cancellation.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
+#include "util/rng.h"
 
 namespace xprs {
 namespace {
@@ -38,11 +40,11 @@ TEST(ColumnBatchTest, EmptyBatch) {
   EXPECT_FALSE(batch.has_selection());
 }
 
-TEST(ColumnBatchTest, AddRowStartsAllNull) {
+TEST(ColumnBatchTest, AddRowsStartAllNull) {
   Schema schema = Schema::PaperSchema();
   ColumnBatch batch;
   batch.Reset(&schema);
-  uint32_t r = batch.AddRow();
+  uint32_t r = batch.AddRows(1);
   EXPECT_EQ(r, 0u);
   EXPECT_TRUE(batch.IsNullAt(0, r));
   EXPECT_TRUE(batch.IsNullAt(1, r));
@@ -71,10 +73,8 @@ TEST(ColumnBatchTest, SelectionVector) {
   Schema schema = Schema::PaperSchema();
   ColumnBatch batch;
   batch.Reset(&schema);
-  for (int i = 0; i < 5; ++i) {
-    uint32_t r = batch.AddRow();
-    batch.SetInt(0, r, i);
-  }
+  const uint32_t first = batch.AddRows(5);
+  for (int i = 0; i < 5; ++i) batch.SetInt(0, first + i, i);
   EXPECT_EQ(batch.ActiveSize(), 5u);
   EXPECT_EQ(batch.ActiveRow(3), 3u);
 
@@ -98,38 +98,89 @@ TEST(ColumnBatchTest, ResetClearsRowsAndSelection) {
   Schema schema = Schema::PaperSchema();
   ColumnBatch batch;
   batch.Reset(&schema);
-  batch.AddRow();
+  batch.AddRows(1);
   batch.SetSelection({0});
   batch.Reset(&schema);
   EXPECT_EQ(batch.size(), 0u);
   EXPECT_FALSE(batch.has_selection());
 }
 
-TEST(ColumnBatchTest, AppendRowFromAndConcat) {
+TEST(ColumnBatchTest, IntColumnWithTrailingNullsGathers) {
+  // Rows 2 and 3 are NULL and never set: their int slots still exist, so
+  // a gather that lists them reads inside the column.
+  Schema schema = Schema::PaperSchema();
+  ColumnBatch src, out;
+  src.Reset(&schema);
+  const uint32_t first = src.AddRows(4);
+  src.SetInt(0, first, 10);
+  src.SetInt(0, first + 1, 11);
+  EXPECT_GE(src.column(0).ints.size(), src.size());
+
+  out.Reset(&schema);
+  const std::vector<uint32_t> rows = {3, 0, 2, 1};
+  out.Gather(out.AddRows(4), src, rows);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_TRUE(out.IsNullAt(0, 0));
+  EXPECT_EQ(out.IntAt(0, 1), 10);
+  EXPECT_TRUE(out.IsNullAt(0, 2));
+  EXPECT_EQ(out.IntAt(0, 3), 11);
+  for (uint32_t r = 0; r < 4; ++r) EXPECT_TRUE(out.IsNullAt(1, r));
+}
+
+TEST(ColumnBatchTest, GatherConcatenatesAndSkipsMaskedColumns) {
   Schema schema = Schema::PaperSchema();
   ColumnBatch a, b, out;
   a.Reset(&schema);
   b.Reset(&schema);
-  uint32_t ra = a.AddRow();
+  const uint32_t ra = a.AddRows(1);
   a.SetInt(0, ra, 1);
   a.SetText(1, ra, "left", 4);
-  uint32_t rb = b.AddRow();
+  const uint32_t rb = b.AddRows(1);
   b.SetInt(0, rb, 2);  // column 1 stays NULL
-
-  ColumnBatch copy;
-  copy.Reset(&schema);
-  copy.AppendRowFrom(a, ra);
-  EXPECT_EQ(copy.MaterializeRow(0), a.MaterializeRow(ra));
 
   Schema joined = Schema::Concat(schema, schema);
   out.Reset(&joined);
-  out.AppendConcatRow(a, ra, b, rb);
-  Tuple row = out.MaterializeRow(0);
-  ASSERT_EQ(row.size(), 4u);
-  EXPECT_EQ(row.value(0), Value(int32_t{1}));
-  EXPECT_EQ(row.value(1), Value(std::string("left")));
-  EXPECT_EQ(row.value(2), Value(int32_t{2}));
-  EXPECT_TRUE(IsNull(row.value(3)));
+  const std::vector<uint32_t> left = {ra}, right = {rb};
+  uint32_t first = out.AddRows(1);
+  out.Gather(first, a, left);
+  out.Gather(first, b, right, /*offset=*/2);
+  EXPECT_EQ(out.MaterializeRow(first),
+            Tuple({Value(int32_t{1}), Value(std::string("left")),
+                   Value(int32_t{2}), Value(std::monostate{})}));
+
+  // Masked-out columns are never touched: they stay NULL although both
+  // sources hold values there.
+  const std::vector<uint8_t> mask = {1, 0, 0, 0};
+  first = out.AddRows(1);
+  out.Gather(first, a, left, 0, &mask);
+  out.Gather(first, b, right, 2, &mask);
+  EXPECT_EQ(out.MaterializeRow(first),
+            Tuple({Value(int32_t{1}), Value(std::monostate{}),
+                   Value(std::monostate{}), Value(std::monostate{})}));
+}
+
+TEST(ColumnBatchTest, GatherCopiesTextFromBatchesAndTuples) {
+  Schema schema = Schema::PaperSchema();
+  const std::vector<Tuple> tuples = {
+      Tuple({Value(int32_t{7}), Value(std::string("seven"))}),
+      Tuple({Value(std::monostate{}), Value(std::monostate{})}),
+      Tuple({Value(int32_t{9}), Value(std::string("nine"))}),
+  };
+  ColumnBatch src, out;
+  src.Reset(&schema);
+  for (const Tuple& t : tuples) src.AppendTuple(t);
+
+  // The second pass reuses the batch: its NULL rows land on slots the
+  // first pass filled with text, and must still read NULL.
+  for (const std::vector<uint32_t>& rows :
+       {std::vector<uint32_t>{2, 1, 0, 2}, std::vector<uint32_t>{1, 2, 1, 0}}) {
+    out.Reset(&schema);
+    out.Gather(out.AddRows(4), src, rows);
+    out.Gather(out.AddRows(4), tuples, rows);
+    ASSERT_EQ(out.size(), 8u);
+    for (uint32_t r = 0; r < 8; ++r)
+      EXPECT_EQ(out.MaterializeRow(r), tuples[rows[r % 4]]) << "row " << r;
+  }
 }
 
 // ------------------------------------------------------------ FilterBatch
@@ -141,7 +192,7 @@ class FilterBatchTest : public ::testing::Test {
     batch_.Reset(&schema_);
     // a = 0..9, b = "t<i>"; row 5 has NULL a.
     for (int i = 0; i < 10; ++i) {
-      uint32_t r = batch_.AddRow();
+      uint32_t r = batch_.AddRows(1);
       if (i != 5) batch_.SetInt(0, r, i);
       const std::string text = "t" + std::to_string(i);
       batch_.SetText(1, r, text.data(), text.size());
@@ -418,6 +469,131 @@ TEST_F(BatchExecTest, ProfiledVectorizedRunCountsRootRows) {
   // The scan node's tuples_out is the filter's output: rows with a in
   // [0, 49].
   EXPECT_EQ(scan->tuples_out.load(), 50u);
+}
+
+// Every batch a batch operator emits, materialized (all physical rows:
+// the join emits no selection).
+std::vector<std::vector<Tuple>> DrainBatches(BatchOperator* op) {
+  std::vector<std::vector<Tuple>> batches;
+  EXPECT_TRUE(op->Open().ok());
+  ColumnBatch batch;
+  bool eof = false;
+  while (op->NextBatch(&batch, &eof).ok() && !eof) {
+    EXPECT_FALSE(batch.has_selection());
+    std::vector<Tuple>& rows = batches.emplace_back();
+    for (uint32_t r = 0; r < batch.size(); ++r)
+      rows.push_back(batch.MaterializeRow(r));
+  }
+  EXPECT_TRUE(eof);
+  EXPECT_TRUE(op->Close().ok());
+  return batches;
+}
+
+TEST_F(BatchExecTest, ProbeRowOvershootsTargetWholeInOneBatch) {
+  // A shared build input with five rows of key 7 and one of key 8, probed
+  // by r (every key once) at a 3-row target: key 7's five matches overshoot
+  // the target in one batch, and key 8's match comes next, on its own.
+  TempResult build;
+  build.schema = Schema::PaperSchema();
+  for (int i = 0; i < 5; ++i)
+    build.tuples.push_back(
+        Tuple({Value(int32_t{7}), Value("seven" + std::to_string(i))}));
+  build.tuples.push_back(Tuple({Value(int32_t{8}), Value(std::monostate{})}));
+  ExecContext ctx;
+  ctx.batch_rows = 3;
+  BatchHashJoinOp join(std::make_unique<BatchSeqScanOp>(r_, ctx), &build, 0,
+                       0, ctx);
+  const std::vector<std::vector<Tuple>> batches = DrainBatches(&join);
+  ASSERT_EQ(batches.size(), 2u);
+  ASSERT_EQ(batches[0].size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(batches[0][i],
+              Tuple({Value(int32_t{7}), Value(std::string("r7")),
+                     Value(int32_t{7}), Value("seven" + std::to_string(i))}));
+  }
+  ASSERT_EQ(batches[1].size(), 1u);
+  EXPECT_EQ(batches[1][0],
+            Tuple({Value(int32_t{8}), Value(std::string("r8")),
+                   Value(int32_t{8}), Value(std::monostate{})}));
+}
+
+TEST_F(BatchExecTest, FanoutJoinMatchesTupleJoinInOrder) {
+  // A seeded build side with 16 rows per key (some NULL text) in shuffled
+  // order, probed by hits, misses and NULL keys. The batch join emits
+  // HashJoinOp's rows in HashJoinOp's order: with an inline build, with a
+  // shared build input, and under an emit mask.
+  Rng rng(TestSeed(27));
+  std::vector<int32_t> keys;
+  for (int32_t k = 0; k < 40; ++k) keys.insert(keys.end(), 16, k);
+  rng.Shuffle(&keys);
+  Table* build =
+      catalog_->CreateTable("fanout_build", Schema::PaperSchema()).value();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Value text = rng.NextBool(0.1) ? Value(std::monostate{})
+                                   : Value("b" + std::to_string(i));
+    ASSERT_TRUE(
+        build->file().Append(Tuple({Value(keys[i]), std::move(text)})).ok());
+  }
+  ASSERT_TRUE(build->file().Flush().ok());
+  Table* probe =
+      catalog_->CreateTable("fanout_probe", Schema::PaperSchema()).value();
+  for (int i = 0; i < 600; ++i) {
+    Value key = rng.NextBool(0.1)
+                    ? Value(std::monostate{})
+                    : Value(static_cast<int32_t>(rng.NextInt(-5, 44)));
+    ASSERT_TRUE(probe->file()
+                    .Append(Tuple({std::move(key),
+                                   Value("p" + std::to_string(i))}))
+                    .ok());
+  }
+  ASSERT_TRUE(probe->file().Flush().ok());
+
+  ExecContext plain;
+  HashJoinOp tuple_join(std::make_unique<SeqScanOp>(probe, Predicate(), plain),
+                        std::make_unique<SeqScanOp>(build, Predicate(), plain),
+                        0, 0);
+  auto want = Drain(&tuple_join);
+  ASSERT_TRUE(want.ok());
+  ASSERT_GT(want->size(), 0u);
+  EXPECT_EQ(want->size() % 16, 0u);  // a probe row hits 16 rows or none
+
+  SeqScanOp build_scan(build, Predicate(), plain);
+  auto build_rows = Drain(&build_scan);
+  ASSERT_TRUE(build_rows.ok());
+  TempResult shared;
+  shared.schema = Schema::PaperSchema();
+  shared.tuples = std::move(*build_rows);
+
+  // The emit mask keeps the probe key and the build text.
+  const std::vector<uint8_t> mask = {1, 0, 0, 1};
+  std::vector<Tuple> want_masked;
+  for (const Tuple& t : *want) {
+    want_masked.push_back(Tuple({t.value(0), Value(std::monostate{}),
+                                 Value(std::monostate{}), t.value(3)}));
+  }
+
+  for (size_t batch_rows : {size_t{1024}, size_t{7}, size_t{1}}) {
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    for (int form = 0; form < 3; ++form) {
+      std::unique_ptr<BatchOperator> join;
+      auto outer = std::make_unique<BatchSeqScanOp>(probe, ctx);
+      if (form == 0) {
+        join = std::make_unique<BatchHashJoinOp>(
+            std::move(outer), std::make_unique<BatchSeqScanOp>(build, ctx), 0,
+            0, ctx);
+      } else {
+        join = std::make_unique<BatchHashJoinOp>(std::move(outer), &shared, 0,
+                                                 0, ctx);
+      }
+      if (form == 2) join->PruneOutputColumns(mask);
+      VectorizedAdapterOp adapter(std::move(join), nullptr);
+      auto got = Drain(&adapter);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, form == 2 ? want_masked : *want)
+          << "form " << form << ", batch_rows " << batch_rows;
+    }
+  }
 }
 
 // Forwards its child and counts the Next calls made after the child

@@ -43,7 +43,9 @@ SOAK = {
     "breakers": {"storage_read": {"opened": 1, "fast_fails": 5},
                  "spill_io": {"opened": 0, "fast_fails": 0}},
     "poison": {"quarantined": True, "fast_reject": True, "entries": 3},
-    "phases": [{"name": "peak", "seconds": 1.5, "submitted": 500,
+    "phases": [{"name": "baseline", "seconds": 1.0, "submitted": 300,
+                "completed": 300, "failed": 0, "shed": 0, "p99_ms": 1.1},
+               {"name": "peak", "seconds": 1.5, "submitted": 500,
                 "completed": 400, "failed": 10, "shed": 90,
                 "p99_ms": 3.8},
                {"name": "recovery", "seconds": 1.5, "submitted": 500,
@@ -204,10 +206,15 @@ CASES = [
     ("soak fast reject", SOAK,
      lambda d: d["poison"].update(fast_reject=False), False,
      "quarantined statement was not fast-rejected"),
+    ("soak baseline sheds", SOAK,
+     lambda d: d["phases"][0].update(shed=30), False,
+     "30 statements shed in the fault-free baseline phase"),
+    ("soak no baseline phase", SOAK, lambda d: d["phases"].pop(0), False,
+     "no baseline phase"),
     ("soak recovery failures", SOAK,
-     lambda d: d["phases"][1].update(failed=1), False,
+     lambda d: d["phases"][2].update(failed=1), False,
      "1 statements failed in the recovery phase"),
-    ("soak no recovery phase", SOAK, lambda d: d["phases"].pop(1), False,
+    ("soak no recovery phase", SOAK, lambda d: d["phases"].pop(2), False,
      "no recovery phase"),
     ("soak schema", SOAK, lambda d: d["breakers"].pop("spill_io"), False,
      "breakers: missing spill_io"),

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <set>
 #include <thread>
@@ -323,6 +324,47 @@ TEST_F(SqlEngineTest, OnePreparedStatementRunsInEveryMode) {
       EXPECT_EQ(r->profile != nullptr, options.profile)
           << sql << " [" << mode << "]";
     }
+  }
+}
+
+TEST_F(SqlEngineTest, ProjectedJoinPrunesItsBatchRoot) {
+  // The join's four columns are o.a, o.b, c.a, c.b in some order; the
+  // statement reads two of them, and the prepared plan root records which.
+  const char* sql =
+      "SELECT o.a, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 20";
+  auto prepared = engine_->Prepare(sql);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const PlanNode& root = *prepared->plan;
+  ASSERT_EQ(root.kind, PlanKind::kHashJoin);
+  std::vector<uint8_t> want_mask(root.output_schema.num_columns(), 0);
+  for (size_t index : prepared->projection) want_mask[index] = 1;
+  EXPECT_EQ(root.projected_columns, want_mask);
+  EXPECT_EQ(std::count(want_mask.begin(), want_mask.end(), 1), 2);
+
+  // Run vectorized, the batch root leaves the two unread columns NULL.
+  ExecContext vectorized;
+  vectorized.vectorized = true;
+  auto plan_rows = ExecutePlanSequential(root, vectorized);
+  ASSERT_TRUE(plan_rows.ok());
+  ASSERT_EQ(plan_rows->size(), 60u);  // keys 0..19, 3 orders each
+  for (const Tuple& row : *plan_rows) {
+    for (size_t c = 0; c < want_mask.size(); ++c)
+      EXPECT_EQ(IsNull(row.value(c)), want_mask[c] == 0) << row.ToString();
+  }
+
+  // Serial, vectorized, parallel and vectorized parallel agree.
+  auto expected = engine_->Run(*prepared);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->rows.size(), 60u);
+  std::vector<RunOptions> modes(3);
+  modes[0].ctx.vectorized = true;
+  modes[1].master.emplace();
+  modes[2].ctx.vectorized = true;
+  modes[2].master.emplace();
+  for (size_t m = 0; m < modes.size(); ++m) {
+    auto r = engine_->Run(*prepared, modes[m]);
+    ASSERT_TRUE(r.ok()) << "mode " << m << ": " << r.status().ToString();
+    EXPECT_EQ(Canonical(*r), Canonical(*expected)) << "mode " << m;
   }
 }
 
